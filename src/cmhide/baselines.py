@@ -13,29 +13,12 @@ import time
 import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
-from .errors import ConfigError, SingletonCommunityError
-from .gradient import HidingConfig, HidingOutcome, dice_similarity
+from .errors import ConfigError
+from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity
 from .graph import EdgeDelta, GraphLike, apply_delta
 from .scoring import betweenness
 
 BASELINE_NAMES = ("dice", "roam", "random", "degree", "centrality")
-
-
-def _prepare(
-    g: GraphLike, u: int, detector: DetectorSpec, partition: Partition | None
-) -> tuple[Partition, frozenset[int], int]:
-    if not 0 <= u < g.n:
-        raise ValueError(f"target {u} outside graph with n={g.n}")
-    detections = 0
-    if partition is None:
-        partition = detect(g, detector)
-        detections = 1
-    reference = partition.community_members(u) - {u}
-    if not reference:
-        raise SingletonCommunityError(
-            f"node {u} forms a singleton community; nothing to hide"
-        )
-    return partition, reference, detections
 
 
 def _finalise(
@@ -91,7 +74,7 @@ def run_dice(
     budget goes to additions.
     """
     t0 = time.perf_counter()
-    partition, reference, detections = _prepare(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition)
     members = partition.community_members(u)
     intra = [v for v in g.neighbors(u) if v in members]
     toggles: set[int] = set()
@@ -123,7 +106,7 @@ def run_roam(
     target not yet adjacent to v0. The additions land on v0's row.
     """
     t0 = time.perf_counter()
-    partition, reference, detections = _prepare(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition)
     nbrs = g.neighbors(u)
     if not nbrs:
         return _finalise(
@@ -158,7 +141,7 @@ def run_random(
     sampling without replacement instead.
     """
     t0 = time.perf_counter()
-    partition, reference, detections = _prepare(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition)
     rng = np.random.default_rng(seed)
     candidates = np.array([v for v in range(g.n) if v != u])
     toggles: set[int] = set()
@@ -191,7 +174,7 @@ def run_degree(
     node is toggled at most once per run.
     """
     t0 = time.perf_counter()
-    partition, reference, detections = _prepare(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition)
     view: GraphLike = g
     toggles: set[int] = set()
     for _ in range(config.beta):
@@ -221,7 +204,7 @@ def run_centrality(
     toggle would cost another full all-pairs pass per step.
     """
     t0 = time.perf_counter()
-    partition, reference, detections = _prepare(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition)
     bc = betweenness(g)
     ranked = sorted((v for v in range(g.n) if v != u), key=lambda v: (-bc[v], v))
     delta = EdgeDelta(u, frozenset(ranked[: config.beta]))

@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -35,21 +35,16 @@ from .presets import PRESET_NAMES, load_preset
 from .scoring import DEFAULT_WEIGHTS, pagerank, structural_scores
 
 _ALGO_ALIASES = {"labelprop": "label_propagation"}
-_ALGO_CHOICES = tuple(
-    a for a in ("greedy", "louvain", "labelprop", "label_propagation")
-)
+_ALGO_CHOICES = DETECTOR_NAMES + tuple(_ALGO_ALIASES)
 
-_CONFIG_KEYS = (
-    "tau", "beta", "eta", "lam", "max_iter", "q", "weights", "t_plus", "t_minus",
-    "beta1", "beta2", "adam_eps", "norm_eps", "gamma", "seed", "exhaust_budget",
-    "squared_loss", "complement_targets",
-)
+_CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig))
 
 
-def _seed_default() -> int:
+def _seed_default(unset: int | None = 0) -> int | None:
+    """The CMH_SEED environment variable as an integer, `unset` without it."""
     raw = os.environ.get("CMH_SEED")
     if raw is None:
-        return 0
+        return unset
     try:
         return int(raw)
     except ValueError:
@@ -58,8 +53,11 @@ def _seed_default() -> int:
 
 def _load_graph(path: str) -> Graph:
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            g, stats = load_edge_list_with_stats(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                g, stats = load_edge_list_with_stats(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read graph file {path!r}: {exc.strerror}") from None
         notes = []
         if stats.self_loops_dropped:
             notes.append(f"dropped {stats.self_loops_dropped} self-loop line(s)")
@@ -113,9 +111,16 @@ def _partition_from_json(path: str, g: Graph) -> Partition:
         communities = obj["communities"]
     except (TypeError, KeyError):
         raise ConfigError(f"{path!r} is not a partition file") from None
-    return Partition.from_communities(
-        frozenset(g.id_of(lab) for lab in comm) for comm in communities
-    )
+    try:
+        part = Partition.from_communities(
+            frozenset(g.id_of(lab) for lab in comm) for comm in communities
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path!r} is not a partition of this graph: {exc.args[0]}") from None
+    uncovered = g.n - sum(len(c) for c in part.communities)
+    if uncovered:
+        raise ConfigError(f"{path!r} leaves {uncovered} node(s) of the graph uncovered")
+    return part
 
 
 def _parse_weights(text: str) -> tuple[float, ...]:
@@ -152,12 +157,17 @@ def _config_from_args(args) -> HidingConfig:
 def _override_config(config: HidingConfig, obj: dict, source: str) -> HidingConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{source!r} must contain a JSON object")
-    unknown = set(obj) - set(_CONFIG_KEYS)
+    unknown = set(obj) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys in {source!r}: {', '.join(sorted(unknown))}")
-    if "weights" in obj:
-        obj = dict(obj, weights=tuple(float(w) for w in obj["weights"]))
-    return replace(config, **obj)
+    try:
+        if "weights" in obj:
+            obj = dict(obj, weights=tuple(float(w) for w in obj["weights"]))
+        return replace(config, **obj)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value in {source!r}: {exc}") from None
 
 
 def _outcome_json(g: Graph, method: str, outcome: HidingOutcome, config: HidingConfig) -> str:
@@ -254,7 +264,10 @@ def _experiment_from_json(obj: dict, jobs: int, seed: int | None) -> tuple[Graph
         ("max_targets", int),
     ):
         if key in obj:
-            kwargs[key] = cast(obj[key])
+            try:
+                kwargs[key] = cast(obj[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad {key!r} in benchmark spec: {obj[key]!r}") from None
     if "detector" in obj:
         kwargs["detector"] = _detector_from_json(obj["detector"])
     if "eval_detector" in obj and obj["eval_detector"] is not None:
@@ -351,8 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_bench.add_argument(
-        "--seed", type=int,
-        default=int(os.environ["CMH_SEED"]) if os.environ.get("CMH_SEED") else None,
+        "--seed", type=int, default=_seed_default(unset=None),
         help="override the spec's master seed",
     )
     p_bench.add_argument("--verbose", action="store_true")

@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import BASELINE_NAMES, run_baseline
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide, hide_projected
+from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
 from .graph import Graph, GraphLike
 from .scoring import pagerank, structural_scores
 from .seeding import derive_seed
@@ -244,12 +244,10 @@ def _attack(
     scores,
     partition: Partition,
 ) -> HidingOutcome:
-    if method == "gradient":
-        return hide(g, u, detector, config, seed=seed, scores=scores, partition=partition)
     if method == "gradient_projected":
-        return hide_projected(
-            g, u, detector, config, seed=seed, scores=scores, partition=partition
-        )
+        config = replace(config, exhaust_budget=True)
+    if method in GRADIENT_METHODS:
+        return hide(g, u, detector, config, seed=seed, scores=scores, partition=partition)
     return run_baseline(method, g, u, detector, config, seed=seed, partition=partition)
 
 

@@ -3,9 +3,9 @@
 The perturbation of the target's adjacency row is relaxed to a continuous
 vector, optimised against a smooth loss that pulls the row toward the
 promising-actions target while penalising large changes, and discretised
-back to edge flips after every step. A budget-exhausting projection
-variant keeps applying the most promising flips until the whole budget is
-spent.
+back to edge flips after every step. With exhaust_budget set, a projection
+step then keeps applying the most promising flips until the whole budget
+is spent.
 """
 
 from __future__ import annotations
@@ -171,23 +171,6 @@ def loss_gradient(
     return g
 
 
-def loss(
-    p_hat: np.ndarray,
-    target_vec: np.ndarray,
-    row: np.ndarray,
-    lam: float,
-    q: float = 2.0,
-    eps: float = 1e-12,
-    squared: bool = False,
-    owner: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Loss value and its analytic gradient in one call."""
-    return (
-        loss_value(p_hat, target_vec, row, lam, q, squared=squared),
-        loss_gradient(p_hat, target_vec, row, lam, q, eps, squared=squared, owner=owner),
-    )
-
-
 def momentum_average(grads: Sequence[np.ndarray], gamma: float = 0.9) -> np.ndarray:
     """Exponentially weighted mean of a gradient history (latest weighs most)."""
     if not grads:
@@ -198,19 +181,30 @@ def momentum_average(grads: Sequence[np.ndarray], gamma: float = 0.9) -> np.ndar
     return (1.0 - gamma) * acc
 
 
-@dataclass
-class _CoreState:
-    """Everything hide() computed that the projection step reuses."""
+def _prepare_target(
+    g: GraphLike, u: int, detector: DetectorSpec, partition: Partition | None
+) -> tuple[Partition, frozenset[int], int]:
+    """Prelude shared by every attack.
 
-    outcome: HidingOutcome
-    p_hat: np.ndarray
-    grads: list[np.ndarray]
-    a_u: AdjacencyVector
-    reference: frozenset[int]
-    cache: dict[bytes, tuple[float, GraphLike, Partition]]
+    Checks the target, detects the partition when none is given and returns
+    it with the target's reference set (its community without itself) and
+    the number of detector calls spent.
+    """
+    if not 0 <= u < g.n:
+        raise ValueError(f"target {u} outside graph with n={g.n}")
+    detections = 0
+    if partition is None:
+        partition = detect(g, detector)
+        detections = 1
+    reference = partition.community_members(u) - {u}
+    if not reference:
+        raise SingletonCommunityError(
+            f"node {u} forms a singleton community; nothing to hide"
+        )
+    return partition, reference, detections
 
 
-def _hide_core(
+def hide(
     g: GraphLike,
     u: int,
     detector: DetectorSpec,
@@ -218,23 +212,16 @@ def _hide_core(
     seed: int | None = None,
     scores: StructuralScores | None = None,
     partition: Partition | None = None,
-    validate: bool = False,
-) -> _CoreState:
+) -> HidingOutcome:
+    """Search for a hiding rewiring of node u's row within the budget.
+
+    With config.exhaust_budget the search ends with project_to_budget,
+    which spends whatever budget is left.
+    """
     t_start = time.perf_counter()
     n = g.n
-    if not 0 <= u < n:
-        raise ValueError(f"target {u} outside graph with n={n}")
+    partition, reference, detections = _prepare_target(g, u, detector, partition)
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    detections = 0
-    if partition is None:
-        partition = detect(g, detector)
-        detections += 1
-    members = partition.community_members(u)
-    reference = members - {u}
-    if not reference:
-        raise SingletonCommunityError(
-            f"node {u} forms a singleton community; nothing to hide"
-        )
     if scores is None and not config.complement_targets:
         scores = structural_scores(g, partition, config.weights)
     target_vec = promising_actions(
@@ -247,6 +234,18 @@ def _hide_core(
     cache: dict[bytes, tuple[float, GraphLike, Partition]] = {
         base_key: (1.0, g, partition)
     }
+
+    def evaluate(key: bytes, delta: EdgeDelta) -> tuple[float, GraphLike, Partition]:
+        """Similarity, graph and partition of a rewired row, detected once per row."""
+        nonlocal detections
+        hit = cache.get(key)
+        if hit is None:
+            g2 = apply_delta(g, delta)
+            part2 = detect(g2, detector)
+            detections += 1
+            sim2 = dice_similarity(reference, part2.community_members(u) - {u})
+            hit = cache[key] = (sim2, g2, part2)
+        return hit
 
     p_hat = rng.uniform(-0.5, 0.5, n)
     p_hat[u] = 0.0
@@ -280,10 +279,6 @@ def _hide_core(
         p_hat = np.tanh(p_hat - config.eta * m_hat / (np.sqrt(v_hat) + config.adam_eps))
         p = threshold(p_hat, config.t_plus, config.t_minus)
         new_row = clamp_add(a_u, p)
-        if validate:
-            expected = np.clip(a_u.bits + p.astype(np.int64), 0, 1)
-            if not np.array_equal(new_row.bits, expected):
-                raise AssertionError("perturbed row left {0,1}")
         delta = delta_between(a_u, new_row)
         if delta.size > config.beta:
             # over budget: drop the overlay and restart from a fresh sample
@@ -299,29 +294,25 @@ def _hide_core(
             continue
         key = new_row.bits.tobytes()
         if key != prev_key:
-            hit = cache.get(key)
-            if hit is None:
-                g2 = apply_delta(g, delta)
-                part2 = detect(g2, detector)
-                detections += 1
-                sim2 = dice_similarity(
-                    reference, part2.community_members(u) - {u}
-                )
-                cache[key] = (sim2, g2, part2)
-            else:
-                sim2, g2, part2 = hit
-            sim = sim2
-            cur_graph, cur_part, cur_delta = g2, part2, delta
+            sim, cur_graph, cur_part = evaluate(key, delta)
+            cur_delta = delta
             prev_key = key
             if sim < best[0]:
-                best = (sim, delta, g2, part2)
+                best = (sim, delta, cur_graph, cur_part)
 
-    success = sim <= config.tau
-    if not success:
+    if sim > config.tau:
         sim, cur_delta, cur_graph, cur_part = best
-    outcome = HidingOutcome(
+    if config.exhaust_budget:
+        # tau < 1 and max_iter >= 1, so the loop ran and grads is not empty
+        g_bar = momentum_average(grads, config.gamma)
+        toggled = project_to_budget(a_u, p_hat, g_bar, cur_delta.toggled, config)
+        cur_delta = EdgeDelta(u, toggled)
+        bits = a_u.bits.copy()
+        bits[list(toggled)] ^= 1
+        sim, cur_graph, cur_part = evaluate(bits.tobytes(), cur_delta)
+    return HidingOutcome(
         target=u,
-        success=success,
+        success=sim <= config.tau,
         similarity=sim,
         deltas=(cur_delta,),
         used_budget=cur_delta.size,
@@ -330,12 +321,12 @@ def _hide_core(
         iterations=iterations,
         detections=detections,
         restarts=restarts,
+        projected=config.exhaust_budget,
         wall_seconds=time.perf_counter() - t_start,
     )
-    return _CoreState(outcome, p_hat, grads, a_u, reference, cache)
 
 
-def hide(
+def hide_projected(
     g: GraphLike,
     u: int,
     detector: DetectorSpec,
@@ -343,22 +334,9 @@ def hide(
     seed: int | None = None,
     scores: StructuralScores | None = None,
     partition: Partition | None = None,
-    validate: bool = False,
 ) -> HidingOutcome:
-    """Search for a hiding rewiring of node u's row within the budget.
-
-    With config.exhaust_budget the search is followed by the projection
-    step that spends whatever budget is left.
-    """
-    if config.exhaust_budget:
-        return hide_projected(
-            g, u, detector, config, seed=seed, scores=scores,
-            partition=partition, validate=validate,
-        )
-    return _hide_core(
-        g, u, detector, config, seed=seed, scores=scores,
-        partition=partition, validate=validate,
-    ).outcome
+    """Shorthand for hide() with config.exhaust_budget switched on."""
+    return hide(g, u, detector, replace(config, exhaust_budget=True), seed, scores, partition)
 
 
 def _ranked_fill(
@@ -457,68 +435,3 @@ def project_to_budget(
             strength = np.abs(p_hat)
         applied_set.update(_ranked_fill(strength, untouched, budget_left))
     return frozenset(applied_set)
-
-
-def hide_projected(
-    g: GraphLike,
-    u: int,
-    detector: DetectorSpec,
-    config: HidingConfig,
-    seed: int | None = None,
-    scores: StructuralScores | None = None,
-    partition: Partition | None = None,
-    validate: bool = False,
-) -> HidingOutcome:
-    """Hiding search followed by projection onto the full budget."""
-    t_start = time.perf_counter()
-    state = _hide_core(
-        g, u, detector, config, seed=seed, scores=scores,
-        partition=partition, validate=validate,
-    )
-    outcome = state.outcome
-    if state.grads:
-        g_bar = momentum_average(state.grads, config.gamma)
-    else:
-        g_bar = np.zeros(g.n)
-    toggled = project_to_budget(
-        state.a_u, state.p_hat, g_bar, outcome.delta.toggled, config
-    )
-    if validate and len(toggled) > config.beta:
-        raise AssertionError("projection exceeded the budget")
-    if toggled == outcome.delta.toggled:
-        return replace(
-            outcome, projected=True, wall_seconds=time.perf_counter() - t_start
-        )
-    delta = EdgeDelta(u, toggled)
-    new_row = clamp_add(state.a_u, _delta_to_perturbation(state.a_u, delta))
-    key = new_row.bits.tobytes()
-    hit = state.cache.get(key)
-    detections = outcome.detections
-    if hit is None:
-        g2 = apply_delta(g, delta)
-        part2 = detect(g2, detector)
-        detections += 1
-        sim = dice_similarity(state.reference, part2.community_members(u) - {u})
-    else:
-        sim, g2, part2 = hit
-    return HidingOutcome(
-        target=u,
-        success=sim <= config.tau,
-        similarity=sim,
-        deltas=(delta,),
-        used_budget=delta.size,
-        graph=g2,
-        partition=part2,
-        iterations=outcome.iterations,
-        detections=detections,
-        restarts=outcome.restarts,
-        projected=True,
-        wall_seconds=time.perf_counter() - t_start,
-    )
-
-
-def _delta_to_perturbation(a_u: AdjacencyVector, delta: EdgeDelta) -> np.ndarray:
-    p = np.zeros(a_u.bits.size, dtype=np.int8)
-    for v in delta.toggled:
-        p[v] = -1 if a_u.bits[v] else 1
-    return p

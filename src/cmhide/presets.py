@@ -92,14 +92,18 @@ def load_preset(ref: str) -> Preset:
         raise ConfigError(
             f"preset file {ref!r} is missing keys: {', '.join(sorted(missing))}"
         )
-    weights = tuple(float(w) for w in obj["weights"])
+    try:
+        weights = tuple(float(w) for w in obj["weights"])
+        preset = Preset(
+            name=str(obj.get("name", os.path.splitext(os.path.basename(ref))[0])),
+            eta=float(obj["eta"]),
+            lam=float(obj["lam"]),
+            max_iter=int(obj["max_iter"]),
+            raw_weights=weights,
+            mu_plus_one=bool(obj.get("mu_plus_one", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in preset file {ref!r}: {exc}") from None
     if len(weights) != 4:
         raise ConfigError(f"preset file {ref!r} must list exactly 4 weights")
-    return Preset(
-        name=str(obj.get("name", os.path.splitext(os.path.basename(ref))[0])),
-        eta=float(obj["eta"]),
-        lam=float(obj["lam"]),
-        max_iter=int(obj["max_iter"]),
-        raw_weights=weights,
-        mu_plus_one=bool(obj.get("mu_plus_one", False)),
-    )
+    return preset

@@ -309,13 +309,14 @@ def test_criterion_3_search_loop_invariants(capsys):
             max_iter=12,
             exhaust_budget=(i % 2 == 0),
         )
-        try:
-            outcome = hide(
-                g, u, greedy, config, seed=i, partition=partitions[name], validate=True
-            )
-        except AssertionError as exc:  # raised by validate on a broken row
-            violations.append(f"run {i} ({name}, u={u}): {exc}")
-            continue
+        outcome = hide(g, u, greedy, config, seed=i, partition=partitions[name])
+        replayed = g
+        for delta in outcome.deltas:
+            replayed = apply_delta(replayed, delta)
+        if replayed != outcome.graph:
+            violations.append(f"run {i} ({name}, u={u}): graph is not the replayed delta")
+        if detect(outcome.graph, greedy) != outcome.partition:
+            violations.append(f"run {i} ({name}, u={u}): partition is not a re-detection")
         if outcome.used_budget > config.beta:
             violations.append(f"run {i}: used {outcome.used_budget} > beta {config.beta}")
         if config.exhaust_budget and outcome.used_budget != min(config.beta, g.n - 1):

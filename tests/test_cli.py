@@ -186,6 +186,43 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
+def _json_file(tmp_path, obj) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj), "utf-8")
+    return str(path)
+
+
+HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
+
+BAD_INPUTS = {
+    "config value": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"tau": "x"})),
+    "partition label": lambda tmp: (
+        "analyze", "scores", "--graph", "kar",
+        "--partition", _json_file(tmp, {"communities": [["0", "zz"]]}),
+    ),
+    "partition cover": lambda tmp: (
+        "analyze", "scores", "--graph", "kar",
+        "--partition", _json_file(tmp, {"communities": [["0", "1"]]}),
+    ),
+    "preset value": lambda tmp: HIDE_9 + (
+        "--preset",
+        _json_file(tmp, {"eta": "x", "lam": 1.0, "max_iter": 5, "weights": [1, 1, 1, 1]}),
+    ),
+    "spec runs": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "runs": "x"}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
+    "graph directory": lambda tmp: ("detect", "--graph", str(tmp)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
+    rc, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path))
+    assert rc == 2
+    assert err.startswith("cmhide: error:")
+
+
 def test_loader_notes_dropped_lines(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("a b\nb b\na b\nb c\n", "utf-8")

@@ -16,7 +16,6 @@ from cmhide import (
     get_preset,
     hide,
     hide_projected,
-    loss,
     loss_gradient,
     loss_value,
     momentum_average,
@@ -56,9 +55,12 @@ def test_loss_value_closed_forms():
     assert loss_value(zero, target, row, lam=0.7) == pytest.approx(
         np.linalg.norm(target - row)
     )
-    v, g = loss(zero, target, row, lam=0.7)
-    assert v == loss_value(zero, target, row, lam=0.7)
-    assert np.array_equal(g, loss_gradient(zero, target, row, lam=0.7))
+    # at the zero perturbation the penalty has no slope, so the gradient is
+    # the pull alone: minus the unit vector along target - row
+    pull = target - row
+    assert np.allclose(
+        loss_gradient(zero, target, row, lam=0.7), -pull / np.linalg.norm(pull)
+    )
 
 
 def central_difference(p_hat, target, row, lam, q, squared, h=1e-6):
@@ -109,6 +111,14 @@ def test_momentum_average_weighting():
     assert np.allclose(momentum_average([g1, g2], gamma=0.0), g2)
     with pytest.raises(ValueError):
         momentum_average([], gamma=0.9)
+
+
+def assert_replays(g, outcome, detector, beta):
+    """The outcome's graph and partition are what its deltas reproduce."""
+    replayed = apply_delta(g, outcome.delta)
+    assert replayed == outcome.graph
+    assert detect(outcome.graph, detector) == outcome.partition
+    assert outcome.used_budget <= beta
 
 
 def sparse_graph_n4() -> Graph:
@@ -193,7 +203,7 @@ def test_outcome_delta_property_requires_single_row(kar, greedy, kar_partition):
 def test_hide_is_deterministic_and_consistent(kar, greedy):
     config = get_preset("kar").config(tau=0.5, beta=3)
     u = kar.id_of("9")
-    first = hide(kar, u, greedy, config, seed=7, validate=True)
+    first = hide(kar, u, greedy, config, seed=7)
     second = hide(kar, u, greedy, config, seed=7)
     assert first == second
     assert first.wall_seconds > 0
@@ -201,10 +211,7 @@ def test_hide_is_deterministic_and_consistent(kar, greedy):
     assert first.similarity <= 0.5
     assert first.used_budget == first.delta.size <= 3
     assert first.delta.owner == u
-    # the reported graph and partition match an independent replay
-    replayed = apply_delta(kar, first.delta)
-    assert replayed == first.graph
-    assert detect(replayed, greedy) == first.partition
+    assert_replays(kar, first, greedy, 3)
 
 
 def test_seed_argument_overrides_config_seed(kar, greedy):
@@ -219,11 +226,11 @@ def test_hide_restarts_when_one_step_overshoots_budget(kar, greedy):
     # a huge step rate saturates tanh, so every iteration flips far more
     # than one edge and trips the restart path
     config = HidingConfig(tau=0.3, beta=1, eta=5.0, max_iter=10)
-    outcome = hide(kar, 0, greedy, config, seed=1, validate=True)
+    outcome = hide(kar, 0, greedy, config, seed=1)
     assert outcome.restarts > 0
     assert outcome.iterations == 10
     assert not outcome.success
-    assert outcome.used_budget <= 1
+    assert_replays(kar, outcome, greedy, 1)
 
 
 def test_hide_failure_reports_best_feasible_rewiring(kar, greedy):
@@ -242,6 +249,22 @@ def test_hide_failure_reports_best_feasible_rewiring(kar, greedy):
     assert outcome.similarity == sim
 
 
+def test_projection_after_failed_search_is_locked(kar, greedy):
+    # the search misses tau, so its best-so-far rewiring seeds the projection
+    config = get_preset("kar").config(tau=0.5, beta=3)
+    config = replace(config, tau=0.01, max_iter=3)
+    u = kar.id_of("9")
+    plain = hide(kar, u, greedy, config, seed=3)
+    assert not plain.success
+    projected = hide(kar, u, greedy, replace(config, exhaust_budget=True), seed=3)
+    assert projected.projected
+    assert projected.deltas == (EdgeDelta(u, frozenset({8, 21, 29})),)
+    assert plain.delta.toggled < projected.delta.toggled
+    assert projected.similarity == 0.0
+    assert projected.detections == 3
+    assert_replays(kar, projected, greedy, 3)
+
+
 def test_hide_rejects_singleton_community(greedy):
     g = Graph(
         [("a", "b"), ("b", "c"), ("c", "a")], node_labels=["a", "b", "c", "d"]
@@ -257,7 +280,8 @@ def test_hide_rejects_target_outside_graph(kar, greedy):
 
 def test_hide_succeeds_inside_clique(cliques, greedy):
     config = get_preset("kar").config(tau=0.3, beta=4)
-    outcome = hide(cliques, 7, greedy, config, seed=2, validate=True)
+    outcome = hide(cliques, 7, greedy, config, seed=2)
+    assert_replays(cliques, outcome, greedy, 4)
     assert outcome.success
     assert outcome.similarity == 0.0
     assert sorted(outcome.delta.toggled) == [4, 6, 8, 9]
@@ -271,13 +295,11 @@ def test_projected_variant_spends_remaining_budget(kar, greedy):
     u = kar.id_of("9")
     plain = hide(kar, u, greedy, config, seed=7)
     assert plain.used_budget == 2  # leaves one flip unspent
-    projected = hide_projected(kar, u, greedy, config, seed=7, validate=True)
+    projected = hide_projected(kar, u, greedy, config, seed=7)
     assert projected.projected
     assert projected.used_budget == 3
     assert plain.delta.toggled < projected.delta.toggled
-    replayed = apply_delta(kar, projected.delta)
-    assert replayed == projected.graph
-    assert detect(replayed, greedy) == projected.partition
+    assert_replays(kar, projected, greedy, 3)
 
 
 def test_projected_variant_skips_detection_when_budget_already_full(cliques, greedy):
@@ -302,7 +324,8 @@ def test_hide_dispatches_on_exhaust_flag(kar, greedy):
 @pytest.mark.parametrize("beta", [9, 20])
 def test_projected_budget_caps_at_row_length(cliques, greedy, beta):
     config = replace(get_preset("kar").config(tau=0.3, beta=beta), max_iter=20)
-    outcome = hide_projected(cliques, 0, greedy, config, seed=0, validate=True)
+    outcome = hide_projected(cliques, 0, greedy, config, seed=0)
+    assert_replays(cliques, outcome, greedy, beta)
     assert outcome.used_budget == min(beta, cliques.n - 1)
 
 
