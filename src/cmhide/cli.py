@@ -80,11 +80,18 @@ def _canon_algo(name: str) -> str:
     return name
 
 
-def _detector_from_json(obj: dict) -> DetectorSpec:
-    algo = _canon_algo(obj.get("algo", "greedy"))
-    return DetectorSpec(
-        algo, seed=int(obj.get("seed", 0)), resolution=float(obj.get("resolution", 1.0))
-    )
+def _detector_from_json(obj, key: str) -> DetectorSpec:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key!r} in benchmark spec must be a JSON object, got {obj!r}")
+    algo = _canon_algo(str(obj.get("algo", "greedy")))
+    try:
+        seed = int(obj.get("seed", 0))
+        resolution = float(obj.get("resolution", 1.0))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"bad seed or resolution in {key!r} of benchmark spec: {obj!r}"
+        ) from None
+    return DetectorSpec(algo, seed=seed, resolution=resolution)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -269,9 +276,9 @@ def _experiment_from_json(obj: dict, jobs: int, seed: int | None) -> tuple[Graph
             except (TypeError, ValueError):
                 raise ConfigError(f"bad {key!r} in benchmark spec: {obj[key]!r}") from None
     if "detector" in obj:
-        kwargs["detector"] = _detector_from_json(obj["detector"])
+        kwargs["detector"] = _detector_from_json(obj["detector"], "detector")
     if "eval_detector" in obj and obj["eval_detector"] is not None:
-        kwargs["eval_detector"] = _detector_from_json(obj["eval_detector"])
+        kwargs["eval_detector"] = _detector_from_json(obj["eval_detector"], "eval_detector")
     kwargs["mu_plus_one"] = bool(obj.get("mu_plus_one", mu_default))
     if seed is not None:
         kwargs["seed"] = seed

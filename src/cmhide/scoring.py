@@ -9,8 +9,8 @@ nodes outside it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,36 +23,81 @@ PROPERTY_NAMES = ("betweenness", "degree", "intra_degree", "inter_degree")
 DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 
 
+# Sources per betweenness pass. A pass holds O(_BLOCK * m) temporaries, one
+# entry per (source, arc) pair. On an n=300, m=1500 graph blocks of 8 to 32
+# sources take about the same time and 4 is about a fifth slower, so the
+# smallest block that keeps the speed holds the memory peak down.
+_BLOCK = 8
+
+
+def _csr(g: GraphLike) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed sparse rows of g: neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
+    rows = [g.neighbors(v) for v in range(g.n)]
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _expand(front: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray):
+    """Arcs leaving the flat (source, node) ids in `front`: their tails and heads."""
+    v = front % n
+    start = indptr[v]
+    deg = indptr[v + 1] - start
+    head = np.repeat(start - np.cumsum(deg) + deg, deg)
+    head += np.arange(head.size)  # arc ids
+    head = indices[head]
+    head += np.repeat(front - v, deg)
+    return np.repeat(front, deg), head
+
+
 def betweenness(g: GraphLike) -> np.ndarray:
-    """Shortest-path betweenness, unnormalised, each node pair counted once."""
+    """Shortest-path betweenness, unnormalised, each node pair counted once.
+
+    Brandes' accumulation, run for a block of sources at a time with
+    level-synchronous frontiers. State lives in (block, n) arrays addressed
+    by flat ids source * n + node. Each frontier is kept in breadth-first
+    discovery order and the dependencies flow back from it in reverse, so
+    every sum is taken in the order of the one-source-at-a-time
+    queue-and-stack version and the result equals it bit for bit: nodes
+    with tied scores keep their rank order.
+    """
     n = g.n
+    indptr, indices = _csr(g)
     bc = np.zeros(n)
-    for s in range(n):
-        stack: list[int] = []
-        pred: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, -1)
-        dist[s] = 0
-        queue = deque((s,))
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in g.neighbors(v):
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    pred[w].append(v)
-        delta = np.zeros(n)
-        while stack:
-            w = stack.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in pred[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
+    for first in range(0, n, _BLOCK):
+        block = min(_BLOCK, n - first)
+        size = block * n
+        front = np.arange(block) * (n + 1) + first  # flat ids of the sources
+        sigma = np.zeros(size)
+        sigma[front] = 1.0
+        seen = sigma > 0.0
+        rank = np.zeros(size, dtype=np.int64)  # position in its frontier
+        first_parent = np.full(size, size)  # rank of the first parent to reach a node
+        dag = []  # per level: arcs into it, heads found last come first
+        while True:
+            tail, head = _expand(front, n, indptr, indices)
+            new = ~seen[head]
+            tail, head = tail[new], head[new]
+            if not head.size:
+                break
+            sigma += np.bincount(head, weights=sigma[tail], minlength=size)
+            # arcs run in frontier order, so the arcs from each head's first
+            # parent list the new heads in discovery order
+            tail_rank = rank[tail]
+            np.minimum.at(first_parent, head, tail_rank)
+            front = head[tail_rank == first_parent[head]]
+            seen[front] = True
+            rank[front] = np.arange(front.size)
+            # sort ties are arcs into one head; their order changes no sum
+            back = np.argsort(-rank[head])
+            dag.append((tail[back], head[back]))
+        delta = np.zeros(size)
+        for tail, head in reversed(dag[1:]):
+            coeff = sigma[tail] * ((1.0 + delta[head]) / sigma[head])
+            delta += np.bincount(tail, weights=coeff, minlength=size)
+        for row in delta.reshape(block, n):
+            bc += row
     return bc / 2.0
 
 
@@ -63,7 +108,9 @@ def pagerank(
     n = g.n
     if n == 0:
         return np.zeros(0)
-    deg = np.array([g.degree(v) for v in range(n)], dtype=float)
+    indptr, indices = _csr(g)
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(n), deg)
     x = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     dangling = deg == 0
@@ -73,10 +120,7 @@ def pagerank(
     for _ in range(max_iter):
         share = x * inv_deg
         nxt = np.full(n, base + damping * x[dangling].sum() / n)
-        for v in range(n):
-            nbrs = g.neighbors(v)
-            if nbrs:
-                nxt[v] += damping * share[list(nbrs)].sum()
+        nxt += damping * np.bincount(rows, weights=share[indices], minlength=n)
         if np.abs(nxt - x).sum() < tol:
             return nxt
         x = nxt
@@ -86,16 +130,12 @@ def pagerank(
 def community_degrees(g: GraphLike, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (intra, inter) degree split relative to a partition."""
     n = g.n
-    intra = np.zeros(n, dtype=np.int64)
-    inter = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        cv = partition.community_of(v)
-        for w in g.neighbors(v):
-            if partition.community_of(w) == cv:
-                intra[v] += 1
-            else:
-                inter[v] += 1
-    return intra, inter
+    indptr, indices = _csr(g)
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(n), deg)
+    label = np.fromiter(map(partition.community_of, range(n)), dtype=np.int64, count=n)
+    intra = np.bincount(rows[label[rows] == label[indices]], minlength=n)
+    return intra, deg - intra
 
 
 def rank_scores(values: np.ndarray) -> np.ndarray:
@@ -135,7 +175,7 @@ def structural_scores(
     intra, inter = community_degrees(g, partition)
     raw = {
         "betweenness": betweenness(g),
-        "degree": np.array([g.degree(v) for v in range(g.n)], dtype=float),
+        "degree": (intra + inter).astype(float),
         "intra_degree": intra.astype(float),
         "inter_degree": inter.astype(float),
     }

@@ -213,6 +213,15 @@ BAD_INPUTS = {
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
     "graph directory": lambda tmp: ("detect", "--graph", str(tmp)),
+    "spec detector": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "detector": "louvain"}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
+    "spec detector seed": lambda tmp: (
+        "benchmark", "--spec",
+        _json_file(tmp, {"graph": "kar", "eval_detector": {"algo": "louvain", "seed": "x"}}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
 }
 
 

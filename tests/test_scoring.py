@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 
 from cmhide import (
     ConfigError,
+    EdgeDelta,
+    Graph,
     Partition,
+    apply_delta,
     betweenness,
     community_degrees,
     pagerank,
@@ -43,6 +47,43 @@ def brute_betweenness(g) -> np.ndarray:
             for v in p[1:-1]:
                 bc[v] += 1.0 / len(shortest)
     return bc
+
+
+def queue_betweenness(g) -> np.ndarray:
+    """Brandes (2001) one source at a time with a queue and a stack.
+
+    The array kernel takes every sum in this order, so the two must agree
+    bit for bit.
+    """
+    n = g.n
+    bc = np.zeros(n)
+    for s in range(n):
+        stack: list[int] = []
+        pred: list[list[int]] = [[] for _ in range(n)]
+        sigma = np.zeros(n)
+        sigma[s] = 1.0
+        dist = np.full(n, -1)
+        dist[s] = 0
+        queue = deque((s,))
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in g.neighbors(v):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    pred[w].append(v)
+        delta = np.zeros(n)
+        while stack:
+            w = stack.pop()
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in pred[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    return bc / 2.0
 
 
 def brute_pagerank(g, damping=0.85) -> np.ndarray:
@@ -117,6 +158,96 @@ def test_pagerank_handles_isolated_nodes():
     g2 = graph_from_edges([(0, 1)])
     assert np.allclose(pagerank(g), 1.0 / 6.0, atol=1e-12)
     assert pagerank(g2).sum() == pytest.approx(1.0)
+
+
+# rank_scores(betweenness(g)) as the queue-and-stack kernel left it. kar's
+# nodes 5 and 6 tie exactly but come out one ulp apart, so a kernel that sums
+# in another order swaps them; structural_scores and the centrality baseline
+# would then rank those nodes the other way round.
+LOCKED_BETWEENNESS_RANKS = {
+    "kar": [34, 28, 31, 20, 13, 25, 24, 1, 29, 14, 2, 3, 27, 4, 26, 5, 30, 21, 15, 23,
+            16, 32, 6, 33, 7, 8, 9, 10, 11, 22, 19, 18, 17, 12],
+    "barbell": [1, 2, 5, 6, 3, 4],
+    "cliques": [1, 2, 3, 4, 9, 10, 5, 6, 7, 8],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKED_BETWEENNESS_RANKS))
+def test_betweenness_tie_order_is_locked(name):
+    from cmhide import load_fixture
+
+    ranks = rank_scores(betweenness(load_fixture(name)))
+    assert ranks.tolist() == LOCKED_BETWEENNESS_RANKS[name]
+
+
+def _kernel_cases():
+    from cmhide import load_fixture
+
+    cases = {name: load_fixture(name) for name in ("kar", "barbell", "cliques")}
+    cases["sparse n=120"] = random_graph(120, 0.04, 7)  # several components
+    cases["dense n=40"] = random_graph(40, 0.5, 3)
+    cases["kar overlay"] = apply_delta(
+        cases["kar"], EdgeDelta(0, frozenset({9, 26, 33, 1, 2}))
+    )
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_cases()))
+def test_betweenness_equals_queue_version_bit_for_bit(name):
+    g = _kernel_cases()[name]
+    assert betweenness(g).tobytes() == queue_betweenness(g).tobytes()
+
+
+def _nx_graph(nx, g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def _oracle_cases(nx):
+    sizes = [75, 75, 75, 75]
+    probs = [[0.12 if a == b else 0.01 for b in range(4)] for a in range(4)]
+    G = nx.stochastic_block_model(sizes, probs, seed=11)
+    sbm = Graph(
+        [(str(a), str(b)) for a, b in G.edges()],
+        node_labels=[str(v) for v in range(G.number_of_nodes())],
+    )
+    outsiders = [v for v in range(sbm.n) if not sbm.has_edge(0, v) and v != 0][-6:]
+    return {
+        "sbm n=300": sbm,
+        "disconnected": graph_from_edges(
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (7, 8)]
+        ),
+        "isolated nodes": Graph(
+            [("0", "1"), ("1", "2"), ("2", "3"), ("1", "3")],
+            node_labels=[str(v) for v in range(7)],
+        ),
+        "n=1": Graph([], node_labels=["a"]),
+        "n=2": graph_from_edges([(0, 1)]),
+        "sbm overlay": apply_delta(
+            sbm, EdgeDelta(0, frozenset(list(sbm.neighbors(0))[:3] + outsiders))
+        ),
+    }
+
+
+def test_betweenness_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for name, g in _oracle_cases(nx).items():
+        ref = nx.betweenness_centrality(_nx_graph(nx, g), normalized=False)
+        expected = np.array([ref[v] for v in range(g.n)])
+        np.testing.assert_allclose(betweenness(g), expected, rtol=0, atol=1e-9, err_msg=name)
+
+
+def test_pagerank_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy")  # networkx's pagerank runs on scipy
+    for name, g in _oracle_cases(nx).items():
+        ref = nx.pagerank(_nx_graph(nx, g), alpha=0.85, tol=1e-15, max_iter=10000)
+        expected = np.array([ref[v] for v in range(g.n)])
+        np.testing.assert_allclose(
+            pagerank(g, tol=1e-12), expected, rtol=0, atol=1e-10, err_msg=name
+        )
 
 
 def test_community_degrees_disjoint_triangles():
