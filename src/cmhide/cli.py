@@ -18,18 +18,19 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
-from .baselines import BASELINE_NAMES, run_baseline
 from .detectors import DETECTOR_NAMES, DetectorSpec, Partition, detect
 from .errors import CmhideError, ConfigError
 from .evaluation import (
+    ALL_METHODS,
     ExperimentSpec,
+    attack,
     report_to_json,
     run_experiment,
     write_records_csv,
     write_summary_csv,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .gradient import HidingConfig, HidingOutcome, hide
+from .gradient import HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
 from .presets import PRESET_NAMES, load_preset
 from .scoring import DEFAULT_WEIGHTS, pagerank, structural_scores
@@ -156,8 +157,6 @@ def _config_from_args(args) -> HidingConfig:
             overrides[key] = value
     if args.weights is not None:
         overrides["weights"] = _parse_weights(args.weights)
-    if args.exhaust_budget:
-        overrides["exhaust_budget"] = True
     return replace(config, **overrides)
 
 
@@ -229,10 +228,7 @@ def _cmd_hide(args) -> int:
         _canon_algo(args.algo), seed=args.detector_seed, resolution=args.resolution
     )
     config = _config_from_args(args)
-    if args.method == "gradient":
-        outcome = hide(g, u, detector, config, seed=args.seed)
-    else:
-        outcome = run_baseline(args.method, g, u, detector, config, seed=args.seed)
+    outcome = attack(args.method, g, u, detector, config, seed=args.seed)
     _write_output(_outcome_json(g, args.method, outcome, config), args.out)
     if args.verbose:
         state = "hidden" if outcome.success else "still visible"
@@ -343,9 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide.add_argument("--graph", required=True, help="edge-list file or fixture name")
     p_hide.add_argument("--target", required=True, help="node label to hide")
     p_hide.add_argument("--algo", default="greedy", choices=_ALGO_CHOICES)
-    p_hide.add_argument(
-        "--method", default="gradient", choices=("gradient",) + BASELINE_NAMES
-    )
+    p_hide.add_argument("--method", default="gradient", choices=ALL_METHODS)
     p_hide.add_argument("--tau", type=float)
     p_hide.add_argument("--beta", type=int)
     p_hide.add_argument(
@@ -357,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide.add_argument("--lam", type=float)
     p_hide.add_argument("--max-iter", dest="max_iter", type=int)
     p_hide.add_argument("--weights", help="four comma-separated structural weights")
-    p_hide.add_argument("--exhaust-budget", dest="exhaust_budget", action="store_true")
     p_hide.add_argument("--seed", type=int, default=seed_default)
     p_hide.add_argument("--detector-seed", type=int, default=0)
     p_hide.add_argument("--resolution", type=float, default=1.0)

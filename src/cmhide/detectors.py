@@ -8,6 +8,7 @@ two equal partitions compare equal structurally.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,8 +35,8 @@ class DetectorSpec:
             raise ConfigError(
                 f"unknown detector {self.name!r}; available: {', '.join(DETECTOR_NAMES)}"
             )
-        if self.resolution <= 0:
-            raise ConfigError("resolution must be positive")
+        if not 0 < self.resolution < math.inf:
+            raise ConfigError(f"resolution must be positive and finite, got {self.resolution!r}")
 
 
 @dataclass(frozen=True)

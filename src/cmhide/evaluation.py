@@ -24,7 +24,7 @@ from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
 from .graph import Graph, GraphLike
-from .scoring import pagerank, structural_scores
+from .scoring import StructuralScores, pagerank, structural_scores
 from .seeding import derive_seed
 
 GRADIENT_METHODS = ("gradient", "gradient_projected")
@@ -90,8 +90,8 @@ def f1_score(success_rate: float, nmi_value: float) -> float:
 
 def budget_for(g: GraphLike, factor: float, mu_plus_one: bool = False) -> int:
     """Flip budget from the mean-degree-per-edge unit mu = m/n, at least 1."""
-    if factor <= 0:
-        raise ConfigError("budget factor must be positive")
+    if not 0 < factor < math.inf:
+        raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
     mu = g.m / g.n + (1.0 if mu_plus_one else 0.0)
     return max(1, math.floor(mu * factor))
 
@@ -234,19 +234,26 @@ class Report:
     meta: dict = field(default_factory=dict)
 
 
-def _attack(
+def attack(
     method: str,
     g: GraphLike,
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int,
-    scores,
-    partition: Partition,
+    seed: int = 0,
+    partition: Partition | None = None,
+    scores: StructuralScores | None = None,
 ) -> HidingOutcome:
-    if method == "gradient_projected":
-        config = replace(config, exhaust_budget=True)
+    """Run one method of ALL_METHODS against node u.
+
+    The gradient methods search with `hide` (`gradient_projected` with
+    exhaust_budget on) and use `scores` when given; the baselines ignore it.
+    """
+    if method not in ALL_METHODS:
+        raise ConfigError(f"unknown method {method!r}; available: {', '.join(ALL_METHODS)}")
     if method in GRADIENT_METHODS:
+        if method == "gradient_projected":
+            config = replace(config, exhaust_budget=True)
         return hide(g, u, detector, config, seed=seed, scores=scores, partition=partition)
     return run_baseline(method, g, u, detector, config, seed=seed, partition=partition)
 
@@ -284,8 +291,8 @@ def _run_cell(args) -> list[TargetRecord]:
                 spec.seed, "attack", run, method, repr(tau), repr(beta_factor), u
             )
             t0 = time.perf_counter()
-            outcome = _attack(
-                method, g, u, attack_det, cell_config, seed, scores, part_attack
+            outcome = attack(
+                method, g, u, attack_det, cell_config, seed, part_attack, scores
             )
             wall = time.perf_counter() - t0
             if same_detector:

@@ -10,8 +10,9 @@ is spent.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +58,11 @@ class HidingConfig:
     complement_targets: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in parts if isinstance(x, float)):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError("tau must lie in [0, 1)")
         if self.beta < 1:
@@ -230,21 +236,21 @@ def hide(
     )
     a_u = g.adjacency_vector(u)
     row = a_u.bits.astype(float)
-    base_key = a_u.bits.tobytes()
-    cache: dict[bytes, tuple[float, GraphLike, Partition]] = {
-        base_key: (1.0, g, partition)
+    empty = EdgeDelta(u)
+    cache: dict[EdgeDelta, tuple[float, GraphLike, Partition]] = {
+        empty: (1.0, g, partition)
     }
 
-    def evaluate(key: bytes, delta: EdgeDelta) -> tuple[float, GraphLike, Partition]:
+    def evaluate(delta: EdgeDelta) -> tuple[float, GraphLike, Partition]:
         """Similarity, graph and partition of a rewired row, detected once per row."""
         nonlocal detections
-        hit = cache.get(key)
+        hit = cache.get(delta)
         if hit is None:
             g2 = apply_delta(g, delta)
             part2 = detect(g2, detector)
             detections += 1
             sim2 = dice_similarity(reference, part2.community_members(u) - {u})
-            hit = cache[key] = (sim2, g2, part2)
+            hit = cache[delta] = (sim2, g2, part2)
         return hit
 
     p_hat = rng.uniform(-0.5, 0.5, n)
@@ -254,13 +260,11 @@ def hide(
     adam_t = 0
     grads: list[np.ndarray] = []
 
-    empty = EdgeDelta(u)
     sim = 1.0
     cur_graph: GraphLike = g
     cur_part = partition
     cur_delta = empty
     best = (1.0, empty, g, partition)
-    prev_key = base_key
     restarts = 0
     iterations = 0
 
@@ -290,13 +294,10 @@ def hide(
             adam_t = 0
             sim = 1.0
             cur_graph, cur_part, cur_delta = g, partition, empty
-            prev_key = base_key
             continue
-        key = new_row.bits.tobytes()
-        if key != prev_key:
-            sim, cur_graph, cur_part = evaluate(key, delta)
+        if delta != cur_delta:
+            sim, cur_graph, cur_part = evaluate(delta)
             cur_delta = delta
-            prev_key = key
             if sim < best[0]:
                 best = (sim, delta, cur_graph, cur_part)
 
@@ -307,9 +308,7 @@ def hide(
         g_bar = momentum_average(grads, config.gamma)
         toggled = project_to_budget(a_u, p_hat, g_bar, cur_delta.toggled, config)
         cur_delta = EdgeDelta(u, toggled)
-        bits = a_u.bits.copy()
-        bits[list(toggled)] ^= 1
-        sim, cur_graph, cur_part = evaluate(bits.tobytes(), cur_delta)
+        sim, cur_graph, cur_part = evaluate(cur_delta)
     return HidingOutcome(
         target=u,
         success=sim <= config.tau,

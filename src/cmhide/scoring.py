@@ -151,6 +151,8 @@ def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(PROPERTY_NAMES),):
         raise ConfigError(f"expected {len(PROPERTY_NAMES)} property weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ConfigError("property weights must be finite")
     if (w < 0).any():
         raise ConfigError("property weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:

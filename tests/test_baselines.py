@@ -10,9 +10,6 @@ from cmhide import (
     betweenness,
     detect,
     run_baseline,
-    run_dice,
-    run_random,
-    run_roam,
 )
 
 CFG = HidingConfig(tau=0.5, beta=3)
@@ -70,7 +67,9 @@ def test_dice_spends_whole_budget_on_additions_without_intra_edge(greedy):
     part = Partition.from_communities(
         [[g.id_of("u"), g.id_of("p")], [g.id_of("b1"), g.id_of("b2")]]
     )
-    outcome = run_dice(g, g.id_of("u"), greedy, HidingConfig(tau=0.5, beta=2), partition=part)
+    outcome = run_baseline(
+        "dice", g, g.id_of("u"), greedy, HidingConfig(tau=0.5, beta=2), partition=part
+    )
     assert labels(g, outcome.delta.toggled) == ["b1"]
     assert outcome.used_budget == 1
 
@@ -78,7 +77,7 @@ def test_dice_spends_whole_budget_on_additions_without_intra_edge(greedy):
 def test_dice_on_bridged_cliques(cliques, greedy):
     # remove the bridge endpoint 4 (degree 5), then add the other clique's
     # bridge endpoint 5 and its smallest-id member 6
-    outcome = run_dice(cliques, 0, greedy, CFG)
+    outcome = run_baseline("dice", cliques, 0, greedy, CFG)
     assert sorted(outcome.delta.toggled) == [4, 5, 6]
     assert not outcome.success
     assert outcome.similarity == 1.0
@@ -88,7 +87,9 @@ def test_dice_on_bridged_cliques(cliques, greedy):
 
 def test_roam_rewires_detached_neighbour(greedy):
     g = Graph([("a", "u"), ("u", "b"), ("b", "c")])
-    outcome = run_roam(g, g.id_of("u"), greedy, HidingConfig(tau=0.5, beta=2), partition=whole(g))
+    outcome = run_baseline(
+        "roam", g, g.id_of("u"), greedy, HidingConfig(tau=0.5, beta=2), partition=whole(g)
+    )
     removal, addition = outcome.deltas
     assert removal.owner == g.id_of("u")
     assert labels(g, removal.toggled) == ["b"]  # b outranks a on degree
@@ -99,7 +100,7 @@ def test_roam_rewires_detached_neighbour(greedy):
 
 def test_roam_from_star_center(greedy):
     g = Graph([("c", "l1"), ("c", "l2"), ("c", "l3"), ("c", "l4")])
-    outcome = run_roam(g, g.id_of("c"), greedy, CFG, partition=whole(g))
+    outcome = run_baseline("roam", g, g.id_of("c"), greedy, CFG, partition=whole(g))
     removal, addition = outcome.deltas
     assert labels(g, removal.toggled) == ["l1"]  # degree tie broken by id
     assert addition.owner == g.id_of("l1")
@@ -109,7 +110,7 @@ def test_roam_from_star_center(greedy):
 
 def test_roam_from_star_leaf_only_removes(greedy):
     g = Graph([("c", "l1"), ("c", "l2"), ("c", "l3"), ("c", "l4")])
-    outcome = run_roam(g, g.id_of("l2"), greedy, CFG, partition=whole(g))
+    outcome = run_baseline("roam", g, g.id_of("l2"), greedy, CFG, partition=whole(g))
     assert len(outcome.deltas) == 1  # leaf has no other neighbours to rewire
     assert labels(g, outcome.delta.toggled) == ["c"]
     assert outcome.used_budget == 1
@@ -118,7 +119,7 @@ def test_roam_from_star_leaf_only_removes(greedy):
 def test_roam_isolated_target_is_a_noop(greedy):
     g = Graph([("a", "b")], node_labels=["a", "b", "u"])
     part = Partition.from_communities([[g.id_of("a"), g.id_of("u")], [g.id_of("b")]])
-    outcome = run_roam(g, g.id_of("u"), greedy, CFG, partition=part)
+    outcome = run_baseline("roam", g, g.id_of("u"), greedy, CFG, partition=part)
     assert outcome.used_budget == 0
     assert not outcome.success
     assert outcome.similarity == 1.0
@@ -130,12 +131,12 @@ def test_random_is_reproducible_and_roughly_uniform(greedy):
     g = Graph([("u", "x"), ("x", "y"), ("y", "u")])
     cfg = HidingConfig(tau=0.5, beta=1)
     u = g.id_of("u")
-    first = run_random(g, u, greedy, cfg, seed=11, partition=whole(g))
-    again = run_random(g, u, greedy, cfg, seed=11, partition=whole(g))
+    first = run_baseline("random", g, u, greedy, cfg, seed=11, partition=whole(g))
+    again = run_baseline("random", g, u, greedy, cfg, seed=11, partition=whole(g))
     assert first.deltas == again.deltas
     counts = {g.id_of("x"): 0, g.id_of("y"): 0}
     for seed in range(1000):
-        out = run_random(g, u, greedy, cfg, seed=seed, partition=whole(g))
+        out = run_baseline("random", g, u, greedy, cfg, seed=seed, partition=whole(g))
         counts[next(iter(out.delta.toggled))] += 1
     for hits in counts.values():
         assert 450 <= hits <= 550
@@ -145,20 +146,9 @@ def test_random_redraw_toggles_back(greedy):
     # seed 0 draws the same node twice, so the net rewiring is empty
     g = Graph([("u", "x"), ("x", "y"), ("y", "u")])
     cfg = HidingConfig(tau=0.5, beta=2)
-    outcome = run_random(g, g.id_of("u"), greedy, cfg, seed=0, partition=whole(g))
+    outcome = run_baseline("random", g, g.id_of("u"), greedy, cfg, seed=0, partition=whole(g))
     assert outcome.used_budget == 0
     assert outcome.similarity == 1.0
-    distinct = run_random(
-        g, g.id_of("u"), greedy, cfg, seed=0, partition=whole(g), distinct=True
-    )
-    assert distinct.used_budget == 2
-
-
-def test_random_distinct_caps_at_candidate_count(greedy):
-    g = Graph([("u", "x"), ("x", "y"), ("y", "u")])
-    cfg = HidingConfig(tau=0.5, beta=5)
-    outcome = run_random(g, g.id_of("u"), greedy, cfg, seed=1, partition=whole(g), distinct=True)
-    assert outcome.used_budget == 2  # only two other nodes exist
 
 
 def test_degree_walks_down_the_degree_ranking(greedy):
@@ -229,9 +219,3 @@ def test_unknown_baseline_name_is_rejected(kar, greedy):
     with pytest.raises(ConfigError, match="unknown baseline"):
         run_baseline("strongest", kar, 0, greedy, CFG)
 
-
-def test_dispatch_matches_direct_runner(kar, greedy):
-    u = kar.id_of("9")
-    assert run_baseline("dice", kar, u, greedy, CFG).deltas == run_dice(
-        kar, u, greedy, CFG
-    ).deltas

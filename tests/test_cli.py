@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from cmhide import SUMMARY_COLUMNS, load_fixture, pagerank
+from cmhide import (
+    ALL_METHODS,
+    SUMMARY_COLUMNS,
+    DetectorSpec,
+    attack,
+    get_preset,
+    load_fixture,
+    pagerank,
+)
 from cmhide.cli import main
 
 
@@ -62,12 +70,37 @@ def test_hide_gradient_regression(capsys):
 def test_hide_exhaust_budget_spends_everything(capsys):
     rc, out, _ = run_cli(
         capsys, "hide", "--graph", "kar", "--target", "9", "--preset", "kar",
-        "--tau", "0.5", "--beta", "3", "--seed", "7", "--exhaust-budget",
+        "--tau", "0.5", "--beta", "3", "--seed", "7", "--method", "gradient_projected",
     )
     assert rc == 0
     obj = json.loads(out)
     assert obj["used_budget"] == 3
     assert obj["added"] == [["30", "9"], ["31", "9"], ["8", "9"]]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_hide_reports_what_attack_returns(capsys, method):
+    rc, out, _ = run_cli(
+        capsys, "hide", "--graph", "kar", "--target", "9", "--preset", "kar",
+        "--beta", "3", "--seed", "7", "--method", method,
+    )
+    assert rc == 0
+    obj = json.loads(out)
+    g = load_fixture("kar")
+    outcome = attack(
+        method, g, g.id_of("9"), DetectorSpec("greedy"),
+        get_preset("kar").config(beta=3, seed=7), seed=7,
+    )
+    edges = {"added": [], "removed": []}
+    for delta in outcome.deltas:
+        for a, b in delta.edges():
+            pair = sorted((g.label_of(a), g.label_of(b)))
+            edges["removed" if g.has_edge(a, b) else "added"].append(pair)
+    assert obj["method"] == method
+    assert obj["added"] == sorted(edges["added"])
+    assert obj["removed"] == sorted(edges["removed"])
+    assert obj["similarity"] == outcome.similarity
+    assert obj["used_budget"] == outcome.used_budget
 
 
 def test_hide_dice_reports_mixed_rewiring(capsys):
@@ -220,6 +253,24 @@ BAD_INPUTS = {
     "spec detector seed": lambda tmp: (
         "benchmark", "--spec",
         _json_file(tmp, {"graph": "kar", "eval_detector": {"algo": "louvain", "seed": "x"}}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
+    "eta nan": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3", "--eta", "nan"),
+    "eta inf": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3", "--eta", "inf"),
+    "lam nan": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3", "--lam", "nan"),
+    "weights nan": lambda tmp: HIDE_9 + (
+        "--preset", "kar", "--beta", "3", "--weights", "nan,1,1,1",
+    ),
+    "config weights nan": lambda tmp: HIDE_9 + (
+        "--config", _json_file(tmp, {"weights": [float("nan"), 1, 1, 1]}),
+    ),
+    "resolution nan": lambda tmp: ("detect", "--graph", "kar", "--resolution", "nan"),
+    "scores weights nan": lambda tmp: (
+        "analyze", "scores", "--graph", "kar", "--weights", "nan,1,1,1",
+        "--partition", _json_file(tmp, {"communities": [[str(v) for v in range(34)]]}),
+    ),
+    "spec beta factor nan": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "beta_factors": ["nan"]}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
 }

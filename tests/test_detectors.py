@@ -134,3 +134,6 @@ def test_greedy_matches_exhaustive_max_on_small_graphs():
 def test_detector_spec_validation():
     with pytest.raises(Exception):
         DetectorSpec("greedy", resolution=0.0)
+    for resolution in (float("nan"), float("inf")):
+        with pytest.raises(Exception):
+            DetectorSpec("greedy", resolution=resolution)

@@ -3,11 +3,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmhide import (
+    ALL_METHODS,
     ConfigError,
     DetectorSpec,
     ExperimentSpec,
@@ -115,8 +117,9 @@ def test_budget_scales_with_mean_degree(kar):
     assert budget_for(kar, 1.0) == 2
     ring = Graph([(str(i), str((i + 1) % 5)) for i in range(5)])
     assert budget_for(ring, 0.5) == 1  # floor(0.5) is clamped up to 1
-    with pytest.raises(ConfigError):
-        budget_for(kar, 0.0)
+    for factor in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            budget_for(kar, factor)
 
 
 def test_sample_targets_picks_closest_sized_communities():
@@ -299,3 +302,49 @@ def test_report_serialises_to_json(cliques_report):
     assert len(payload["records"]) == len(report.records)
     assert payload["summary"][0]["method"] == report.summary[0].method
     assert "used_success_mean" in payload["summary"][0]
+
+
+
+# Records of two small grids over every method, taken before the method
+# dispatch was folded into `attack`; a change that alters any of them is a
+# behaviour change and must be declared. Each line of
+# tests/data/records_<name>.txt holds the fields named in its header: the
+# discrete ones must match exactly, the last three (similarities, NMI) to 1e-9.
+DATA = Path(__file__).parent / "data"
+
+
+def _discrete_fields(r: TargetRecord) -> str:
+    counterparts = ";".join(map(str, r.counterparts)) or "-"
+    return " ".join(map(str, (
+        r.method, r.tau, r.beta_factor, r.beta, r.run, r.target, int(r.success),
+        r.used_budget, counterparts, r.iterations, r.detections, r.restarts,
+    )))
+
+
+@pytest.mark.parametrize(
+    "name,preset,overrides,grid",
+    [
+        ("kar_greedy", "kar", {}, dict(max_targets=4)),
+        (
+            "vote_louvain", "vote", dict(eta=0.3),
+            dict(max_targets=1, detector=DetectorSpec("louvain"),
+                 eval_detector=DetectorSpec("greedy")),
+        ),
+    ],
+    ids=["kar_greedy", "vote_louvain"],
+)
+def test_records_are_locked_for_every_method(kar, name, preset, overrides, grid):
+    p = get_preset(preset)
+    spec = ExperimentSpec(
+        config=p.config(**overrides), mu_plus_one=p.mu_plus_one,
+        taus=(0.3, 0.8), beta_factors=(0.5, 2.0), runs=1, **grid,
+    )
+    assert spec.methods == ALL_METHODS
+    records = run_experiment(kar, spec).records
+    text = (DATA / f"records_{name}.txt").read_text("utf-8")
+    lines = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    assert len(records) == len(lines)
+    for r, fields in zip(records, lines):
+        assert _discrete_fields(r) == " ".join(fields[:12])
+        want = tuple(float(x) for x in fields[12:])
+        assert (r.similarity, r.attack_similarity, r.nmi) == pytest.approx(want, abs=1e-9)

@@ -180,6 +180,12 @@ def test_hiding_config_rejects_bad_knobs():
         dict(gamma=1.0),
         dict(adam_eps=0.0),
         dict(norm_eps=0.0),
+        dict(eta=float("nan")),
+        dict(eta=float("inf")),
+        dict(lam=float("nan")),
+        dict(lam=float("inf")),
+        dict(q=float("inf")),
+        dict(weights=(float("nan"), 0.0, 0.0, 1.0)),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

@@ -303,6 +303,8 @@ def test_weights_validation():
         structural_scores(g, part, weights=(1.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
         structural_scores(g, part, weights=(1.5, -0.5, 0.0, 0.0))
+    with pytest.raises(ConfigError):
+        structural_scores(g, part, weights=(np.nan, 1.0, 0.0, 0.0))
 
 
 def test_promising_actions_formula(cliques, greedy):
