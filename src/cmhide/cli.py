@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -137,9 +138,9 @@ def _parse_weights(text: str) -> tuple[float, ...]:
         weights = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"weights must be comma-separated numbers, got {text!r}") from None
-    total = sum(weights)
-    if total <= 0:
-        raise ConfigError("weights must have a positive sum")
+    total = sum(weights)  # NaN or infinite if any weight is, or if the sum overflows
+    if not 0 < total < math.inf:
+        raise ConfigError(f"weights must be finite with a positive finite sum, got {text!r}")
     return tuple(w / total for w in weights)
 
 
@@ -330,7 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--graph", required=True, help="edge-list file or fixture name")
     p_detect.add_argument("--algo", default="greedy", choices=_ALGO_CHOICES)
     p_detect.add_argument("--seed", type=int, default=seed_default)
-    p_detect.add_argument("--resolution", type=float, default=1.0)
+    p_detect.add_argument(
+        "--resolution", type=float, default=1.0, help="modularity resolution (Louvain only)"
+    )
     p_detect.add_argument("--out", help="write partition JSON here instead of stdout")
     p_detect.add_argument("--verbose", action="store_true")
     p_detect.set_defaults(func=_cmd_detect)
@@ -353,7 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide.add_argument("--weights", help="four comma-separated structural weights")
     p_hide.add_argument("--seed", type=int, default=seed_default)
     p_hide.add_argument("--detector-seed", type=int, default=0)
-    p_hide.add_argument("--resolution", type=float, default=1.0)
+    p_hide.add_argument(
+        "--resolution", type=float, default=1.0, help="modularity resolution (Louvain only)"
+    )
     p_hide.add_argument("--strict", action="store_true", help="exit 1 when hiding fails")
     p_hide.add_argument("--out", help="write outcome JSON here instead of stdout")
     p_hide.add_argument("--verbose", action="store_true")

@@ -101,48 +101,51 @@ def modularity(g: GraphLike, partition: Partition, resolution: float = 1.0) -> f
 
 
 def _greedy(g: GraphLike) -> Partition:
-    """Agglomerative modularity maximisation (merge best pair while gain > 0)."""
+    """Clauset-Newman-Moore agglomeration: merge the best pair while its gain is > 0.
+
+    The heap holds a pair only while its modularity gain is positive. A
+    pair's gain changes only when one of its communities merges, and that
+    merge pushes it again, so the first live entry popped is the best pair
+    (ties to the smallest ids) and an exhausted heap means no merge gains.
+    """
     n, m = g.n, g.m
     if m == 0:
         return Partition.from_communities([{v} for v in range(n)])
-    members: dict[int, set[int]] = {v: {v} for v in range(n)}
-    dsum: dict[int, int] = {v: g.degree(v) for v in range(n)}
-    cross: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-    for u, v in g.edges():
-        cross[u][v] = 1
-        cross[v][u] = 1
-
-    def gain(a: int, b: int) -> float:
-        return cross[a].get(b, 0) / m - dsum[a] * dsum[b] / (2.0 * m * m)
-
+    mm = 2.0 * m * m
+    # per community id; None once merged away
+    cross: list[dict[int, int] | None] = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
+    dsum = [len(nbrs) for nbrs in cross]
+    members: list[set[int] | None] = [{v} for v in range(n)]
     heap: list[tuple[float, int, int]] = []
-    for a, nbrs in cross.items():
+    for a, nbrs in enumerate(cross):
         for b in nbrs:
             if a < b:
-                heapq.heappush(heap, (-gain(a, b), a, b))
+                dq = 1 / m - dsum[a] * dsum[b] / mm
+                if dq > 0:
+                    heap.append((-dq, a, b))
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        neg_dq, a, b = heapq.heappop(heap)
-        if a not in members or b not in members:
+        neg_dq, a, b = heappop(heap)
+        ca, cb = cross[a], cross[b]
+        if ca is None or cb is None:
             continue  # stale: one side already merged away
-        dq = gain(a, b)
-        if -neg_dq != dq:
+        if -neg_dq != ca[b] / m - dsum[a] * dsum[b] / mm:
             continue  # stale: weights changed since push
-        if dq <= 0:
-            break
-        members[a] |= members.pop(b)
-        dsum[a] += dsum.pop(b)
-        b_nbrs = cross.pop(b)
-        for c, w in b_nbrs.items():
-            if c == a:
-                continue
-            cross[c].pop(b)
-            cross[a][c] = cross[a].get(c, 0) + w
-            cross[c][a] = cross[a][c]
-        cross[a].pop(b, None)
-        for c in cross[a]:
-            lo, hi = (a, c) if a < c else (c, a)
-            heapq.heappush(heap, (-gain(lo, hi), lo, hi))
-    return Partition.from_communities(members.values())
+        members[a] |= members[b]
+        members[b] = cross[b] = None
+        da = dsum[a] = dsum[a] + dsum[b]
+        for c, w in cb.items():
+            if c != a:
+                cc = cross[c]
+                del cc[b]
+                ca[c] = cc[a] = ca.get(c, 0) + w
+        del ca[b]
+        for c, x in ca.items():
+            dq = x / m - da * dsum[c] / mm
+            if dq > 0:
+                heappush(heap, (-dq, a, c) if a < c else (-dq, c, a))
+    return Partition.from_communities(c for c in members if c is not None)
 
 
 def _louvain(g: GraphLike, seed: int, resolution: float) -> Partition:

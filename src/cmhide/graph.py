@@ -253,8 +253,7 @@ def clamp_add(a: AdjacencyVector, p: np.ndarray) -> AdjacencyVector:
         raise ValueError("perturbation length does not match adjacency vector")
     if p[a.owner] != 0:
         raise ValueError("perturbation must leave the owner position untouched")
-    vals = np.unique(p)
-    if not np.isin(vals, (-1, 0, 1)).all():
+    if not ((p == 0) | (p == 1) | (p == -1)).all():
         raise ValueError("perturbation entries must be in {-1, 0, +1}")
     bits = np.clip(a.bits + p.astype(np.int64), 0, 1).astype(np.int8)
     return AdjacencyVector(a.owner, bits)

@@ -261,6 +261,8 @@ BAD_INPUTS = {
     "weights nan": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--weights", "nan,1,1,1",
     ),
+    "weights inf": lambda tmp: HIDE_9 + ("--weights", "inf,1,1,1"),
+    "weights sum overflows": lambda tmp: HIDE_9 + ("--weights", "1e308,1e308,0,0"),
     "config weights nan": lambda tmp: HIDE_9 + (
         "--config", _json_file(tmp, {"weights": [float("nan"), 1, 1, 1]}),
     ),
@@ -278,9 +280,12 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
-    rc, _, err = run_cli(capsys, *BAD_INPUTS[case](tmp_path))
+    argv = BAD_INPUTS[case](tmp_path)
+    rc, _, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("cmhide: error:")
+    if "--weights" in argv:  # the message quotes what was typed
+        assert repr(argv[argv.index("--weights") + 1]) in err
 
 
 def test_loader_notes_dropped_lines(capsys, tmp_path):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import heapq
 import itertools
 
+import numpy as np
 import pytest
 
-from cmhide import DetectorSpec, Partition, detect, modularity
+from cmhide import DetectorSpec, EdgeDelta, Graph, Partition, apply_delta, detect, modularity
 
 from conftest import graph_from_edges, random_graph, set_partitions
 
@@ -137,3 +139,87 @@ def test_detector_spec_validation():
     for resolution in (float("nan"), float("inf")):
         with pytest.raises(Exception):
             DetectorSpec("greedy", resolution=resolution)
+
+
+def heap_greedy(g) -> Partition:
+    """Clauset-Newman-Moore with every adjacent pair on a lazy-deletion heap.
+
+    The detector queues only positive gains; both must merge the same
+    pairs in the same order, so their partitions must be equal.
+    """
+    n, m = g.n, g.m
+    if m == 0:
+        return Partition.from_communities([{v} for v in range(n)])
+    members = {v: {v} for v in range(n)}
+    dsum = {v: g.degree(v) for v in range(n)}
+    cross = {v: {} for v in range(n)}
+    for u, v in g.edges():
+        cross[u][v] = 1
+        cross[v][u] = 1
+
+    def gain(a, b):
+        return cross[a].get(b, 0) / m - dsum[a] * dsum[b] / (2.0 * m * m)
+
+    heap = []
+    for a, nbrs in cross.items():
+        for b in nbrs:
+            if a < b:
+                heapq.heappush(heap, (-gain(a, b), a, b))
+    while heap:
+        neg_dq, a, b = heapq.heappop(heap)
+        if a not in members or b not in members:
+            continue
+        dq = gain(a, b)
+        if -neg_dq != dq:
+            continue
+        if dq <= 0:
+            break
+        members[a] |= members.pop(b)
+        dsum[a] += dsum.pop(b)
+        for c, w in cross.pop(b).items():
+            if c == a:
+                continue
+            cross[c].pop(b)
+            cross[a][c] = cross[a].get(c, 0) + w
+            cross[c][a] = cross[a][c]
+        cross[a].pop(b, None)
+        for c in cross[a]:
+            lo, hi = (a, c) if a < c else (c, a)
+            heapq.heappush(heap, (-gain(lo, hi), lo, hi))
+    return Partition.from_communities(members.values())
+
+
+def _planted_blocks(sizes, p_in, p_out, seed):
+    rng = np.random.default_rng(seed)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    n = block.size
+    prob = np.where(block[:, None] == block[None, :], p_in, p_out)
+    a, b = np.nonzero(np.triu(rng.random((n, n)) < prob, k=1))
+    return Graph(
+        [(str(u), str(v)) for u, v in zip(a.tolist(), b.tolist())],
+        node_labels=[str(v) for v in range(n)],
+    )
+
+
+def test_greedy_merges_as_the_full_heap_does_on_fixtures(kar, barbell, cliques, greedy):
+    graphs = [kar, barbell, cliques, Graph([], node_labels=[str(v) for v in range(5)])]
+    for n in (3, 4, 5, 8, 13):
+        ring = [(v, (v + 1) % n) for v in range(n)]
+        graphs.append(graph_from_edges(ring))  # every gain ties
+        graphs.append(graph_from_edges(itertools.combinations(range(n), 2)))
+        graphs.append(graph_from_edges([(0, v) for v in range(1, n)]))
+    for seed, (n, p) in enumerate(itertools.product((6, 20, 60), (0.02, 0.08, 0.2, 0.5))):
+        graphs.append(random_graph(n, p, seed))  # isolated nodes, several components
+    graphs.append(_planted_blocks([75, 75, 75, 75], 0.12, 0.01, seed=3))
+    for g in graphs:
+        assert detect(g, greedy) == heap_greedy(g), g
+
+
+def test_greedy_merges_as_the_full_heap_does_on_karate_overlays(kar, greedy):
+    rng = np.random.default_rng(2004)
+    for _ in range(1000):
+        g = kar
+        for _ in range(int(rng.integers(1, 9))):
+            u, v = rng.choice(kar.n, size=2, replace=False).tolist()
+            g = apply_delta(g, EdgeDelta(u, frozenset((v,))))
+        assert detect(g, greedy) == heap_greedy(g)

@@ -141,6 +141,11 @@ def test_clamp_add_rejects_owner_touch():
         clamp_add(a, np.array([1, 0]))
     with pytest.raises(ValueError):
         clamp_add(a, np.array([0, 2]))
+    for outside in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="entries must be in"):
+            clamp_add(a, np.array([0, outside]))
+    with pytest.raises(ValueError, match="length"):
+        clamp_add(a, np.array([0, 1, 0]))
 
 
 def test_delta_between_is_hamming_support():
