@@ -1,7 +1,14 @@
-"""Community membership hiding by minimal rewiring of one node's edges."""
+"""Community membership hiding by minimal rewiring of one node's edges.
 
-from .baselines import BASELINE_NAMES, run_baseline
-from .detectors import DETECTOR_NAMES, DetectorSpec, Partition, detect, modularity
+The names below are the package's front door; everything else is imported
+from the module that defines it (cmhide.graph, cmhide.scoring, ...).
+"""
+
+# every layer module stays loaded on import, so that perfbench's tracer finds
+# (and wraps) each module's own binding of a layer function
+from . import baselines, detectors, evaluation, gradient, graph, presets, scoring
+from .baselines import run_baseline
+from .detectors import DetectorSpec, Partition, detect
 from .errors import (
     CmhideError,
     ConfigError,
@@ -10,131 +17,42 @@ from .errors import (
 )
 from .evaluation import (
     ALL_METHODS,
-    SUMMARY_COLUMNS,
-    WALL_COLUMNS,
     ExperimentSpec,
-    Report,
-    SummaryRow,
-    TargetRecord,
-    attack,
     budget_for,
     f1_score,
     nmi,
-    partition_nmi,
-    report_to_json,
     run_experiment,
-    sample_targets,
-    success_rate_at,
-    summarise,
-    write_records_csv,
-    write_summary_csv,
 )
-from .fixtures import FIXTURE_NAMES, fixture_text, load_fixture
-from .gradient import (
-    HidingConfig,
-    HidingOutcome,
-    dice_similarity,
-    hide,
-    hide_projected,
-    loss_gradient,
-    loss_value,
-    momentum_average,
-    project_to_budget,
-    threshold,
-)
-from .graph import (
-    AdjacencyVector,
-    EdgeDelta,
-    Graph,
-    GraphOverlay,
-    apply_delta,
-    clamp_add,
-    delta_between,
-    dump_edge_list,
-    load_edge_list,
-    load_edge_list_with_stats,
-)
-from .presets import PRESET_NAMES, PRESETS, Preset, get_preset, load_preset
-from .scoring import (
-    PROPERTY_NAMES,
-    StructuralScores,
-    betweenness,
-    community_degrees,
-    pagerank,
-    promising_actions,
-    rank_scores,
-    structural_scores,
-)
-from .seeding import derive_seed
+from .fixtures import load_fixture
+from .gradient import HidingConfig, hide
+from .graph import EdgeDelta, apply_delta, load_edge_list
+from .presets import get_preset
+from .scoring import pagerank, structural_scores
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_METHODS",
-    "AdjacencyVector",
-    "BASELINE_NAMES",
     "CmhideError",
     "ConfigError",
-    "DETECTOR_NAMES",
     "DetectorSpec",
     "EdgeDelta",
     "EdgeListParseError",
     "ExperimentSpec",
-    "FIXTURE_NAMES",
-    "Graph",
-    "GraphOverlay",
     "HidingConfig",
-    "HidingOutcome",
-    "PRESETS",
-    "PRESET_NAMES",
-    "PROPERTY_NAMES",
     "Partition",
-    "Preset",
-    "Report",
-    "SUMMARY_COLUMNS",
     "SingletonCommunityError",
-    "StructuralScores",
-    "SummaryRow",
-    "TargetRecord",
-    "WALL_COLUMNS",
     "apply_delta",
-    "attack",
-    "betweenness",
     "budget_for",
-    "clamp_add",
-    "community_degrees",
-    "delta_between",
-    "derive_seed",
     "detect",
-    "dice_similarity",
-    "dump_edge_list",
     "f1_score",
-    "fixture_text",
     "get_preset",
     "hide",
-    "hide_projected",
     "load_edge_list",
-    "load_edge_list_with_stats",
     "load_fixture",
-    "load_preset",
-    "loss_gradient",
-    "loss_value",
-    "modularity",
-    "momentum_average",
     "nmi",
     "pagerank",
-    "partition_nmi",
-    "project_to_budget",
-    "promising_actions",
-    "rank_scores",
-    "report_to_json",
     "run_baseline",
     "run_experiment",
-    "sample_targets",
     "structural_scores",
-    "success_rate_at",
-    "summarise",
-    "threshold",
-    "write_records_csv",
-    "write_summary_csv",
 ]

@@ -19,12 +19,12 @@ import numpy as np
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity
-from .graph import EdgeDelta, GraphLike, apply_delta
+from .graph import EdgeDelta, Graph, apply_delta
 from .scoring import betweenness
 
 
 def _dice(
-    g: GraphLike, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
 ) -> tuple[EdgeDelta, ...]:
     """Disconnect internally once, connect externally with the rest.
 
@@ -46,7 +46,7 @@ def _dice(
 
 
 def _roam(
-    g: GraphLike, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
 ) -> tuple[EdgeDelta, ...]:
     """Detach the strongest neighbour and rewire it to the target's others.
 
@@ -67,7 +67,7 @@ def _roam(
 
 
 def _random(
-    g: GraphLike, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
 ) -> tuple[EdgeDelta, ...]:
     """Toggle the edge to a uniformly drawn node, budget times.
 
@@ -84,14 +84,14 @@ def _random(
 
 
 def _degree(
-    g: GraphLike, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
 ) -> tuple[EdgeDelta, ...]:
     """Toggle the edge to the currently highest-degree node, budget times.
 
     Degrees are recomputed on the perturbed graph after every toggle; each
     node is toggled at most once per run.
     """
-    view: GraphLike = g
+    view = g
     toggles: set[int] = set()
     for _ in range(beta):
         remaining = [v for v in range(g.n) if v != u and v not in toggles]
@@ -104,7 +104,7 @@ def _degree(
 
 
 def _centrality(
-    g: GraphLike, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
 ) -> tuple[EdgeDelta, ...]:
     """Toggle edges to the top betweenness-centrality nodes.
 
@@ -128,7 +128,7 @@ BASELINE_NAMES = tuple(_PLANS)
 
 def run_baseline(
     name: str,
-    g: GraphLike,
+    g: Graph,
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .detectors import DETECTOR_NAMES, DetectorSpec, Partition, detect
-from .errors import CmhideError, ConfigError
+from .errors import CmhideError, ConfigError, EdgeListParseError
 from .evaluation import (
     ALL_METHODS,
     ExperimentSpec,
@@ -53,13 +53,33 @@ def _seed_default(unset: int | None = 0) -> int | None:
         raise ConfigError(f"CMH_SEED must be an integer, got {raw!r}") from None
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file named on the command line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{what} {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
+def _read_json(path: str, what: str):
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
 def _load_graph(path: str) -> Graph:
     if os.path.exists(path):
         try:
-            with open(path, encoding="utf-8") as fh:
-                g, stats = load_edge_list_with_stats(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read graph file {path!r}: {exc.strerror}") from None
+            g, stats = load_edge_list_with_stats(_read_text(path, "graph file"))
+        except EdgeListParseError as exc:
+            raise ConfigError(f"graph file {path!r}: {exc}") from None
         notes = []
         if stats.self_loops_dropped:
             notes.append(f"dropped {stats.self_loops_dropped} self-loop line(s)")
@@ -114,8 +134,7 @@ def _partition_json(algo: str, seed: int, g: Graph, part: Partition) -> str:
 
 
 def _partition_from_json(path: str, g: Graph) -> Partition:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path, "partition file")
     try:
         communities = obj["communities"]
     except (TypeError, KeyError):
@@ -148,8 +167,7 @@ def _config_from_args(args) -> HidingConfig:
     """Flags beat the --config file, which beats the preset, which beats defaults."""
     config = load_preset(args.preset).config() if args.preset else HidingConfig()
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.config, "config file")
         config = _override_config(config, obj, source=args.config)
     overrides = {"seed": args.seed}
     for key in ("tau", "beta", "eta", "lam", "max_iter"):
@@ -283,8 +301,7 @@ def _experiment_from_json(obj: dict, jobs: int, seed: int | None) -> tuple[Graph
 
 
 def _cmd_benchmark(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.spec, "spec file")
     g, spec = _experiment_from_json(obj, jobs=args.jobs, seed=args.seed)
     report = run_experiment(g, spec)
     out_dir = Path(args.out)
@@ -392,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "analyze" and args.what == "scores" and not args.partition:
             parser.error("analyze scores requires --partition")
         return args.func(args)
-    except (CmhideError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CmhideError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"cmhide: error: {exc}", file=sys.stderr)
         return 2
 

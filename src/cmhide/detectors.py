@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .graph import GraphLike
+from .graph import Graph
 
 DETECTOR_NAMES = ("greedy", "louvain", "label_propagation")
 
@@ -82,7 +82,7 @@ class Partition:
         return out
 
 
-def modularity(g: GraphLike, partition: Partition, resolution: float = 1.0) -> float:
+def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float:
     """Newman modularity of a partition; 0.0 on an edgeless graph."""
     m = g.m
     if m == 0:
@@ -100,7 +100,7 @@ def modularity(g: GraphLike, partition: Partition, resolution: float = 1.0) -> f
     return q
 
 
-def _greedy(g: GraphLike) -> Partition:
+def _greedy(g: Graph) -> Partition:
     """Clauset-Newman-Moore agglomeration: merge the best pair while its gain is > 0.
 
     The heap holds a pair only while its modularity gain is positive. A
@@ -148,7 +148,7 @@ def _greedy(g: GraphLike) -> Partition:
     return Partition.from_communities(c for c in members if c is not None)
 
 
-def _louvain(g: GraphLike, seed: int, resolution: float) -> Partition:
+def _louvain(g: Graph, seed: int, resolution: float) -> Partition:
     """Seeded Louvain on the unweighted graph, aggregating levels until stable."""
     rng = np.random.default_rng(seed)
     # level state: weighted adjacency, self-loop weights, node -> original members
@@ -224,7 +224,7 @@ def _louvain(g: GraphLike, seed: int, resolution: float) -> Partition:
         adj, loops, carry = new_adj, new_loops, new_carry
 
 
-def _label_propagation(g: GraphLike, seed: int, max_sweeps: int = 100) -> Partition:
+def _label_propagation(g: Graph, seed: int, max_sweeps: int = 100) -> Partition:
     """Asynchronous label propagation with seeded sweep order."""
     rng = np.random.default_rng(seed)
     labels = list(range(g.n))
@@ -250,7 +250,7 @@ def _label_propagation(g: GraphLike, seed: int, max_sweeps: int = 100) -> Partit
     return Partition.from_communities(groups.values())
 
 
-def detect(g: GraphLike, spec: DetectorSpec) -> Partition:
+def detect(g: Graph, spec: DetectorSpec) -> Partition:
     """Run the detector named by the spec on the graph."""
     if spec.name == "greedy":
         return _greedy(g)

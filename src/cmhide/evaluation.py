@@ -15,7 +15,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .baselines import BASELINE_NAMES, run_baseline
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
-from .graph import Graph, GraphLike
+from .graph import Graph
 from .scoring import StructuralScores, pagerank, structural_scores
 from .seeding import derive_seed
 
@@ -76,10 +76,6 @@ def nmi(
     return float(min(1.0, max(0.0, info / denom)))
 
 
-def partition_nmi(a: Partition, b: Partition, n: int, variant: str = "arithmetic") -> float:
-    return nmi(a.membership(n), b.membership(n), variant)
-
-
 def f1_score(success_rate: float, nmi_value: float) -> float:
     """Harmonic mean of hiding success rate and partition preservation."""
     s = success_rate + nmi_value
@@ -88,7 +84,7 @@ def f1_score(success_rate: float, nmi_value: float) -> float:
     return 2.0 * success_rate * nmi_value / s
 
 
-def budget_for(g: GraphLike, factor: float, mu_plus_one: bool = False) -> int:
+def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
     """Flip budget from the mean-degree-per-edge unit mu = m/n, at least 1."""
     if not 0 < factor < math.inf:
         raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
@@ -151,17 +147,6 @@ class TargetRecord:
     detections: int
     restarts: int
     wall_seconds: float
-
-    def success_at(self, tau: float) -> bool:
-        """Re-evaluate the hiding criterion at another threshold."""
-        return self.similarity <= tau and self.used_budget <= self.beta
-
-
-def success_rate_at(records: Iterable[TargetRecord], tau: float) -> float:
-    recs = list(records)
-    if not recs:
-        return 0.0
-    return sum(r.success_at(tau) for r in recs) / len(recs)
 
 
 @dataclass(frozen=True)
@@ -236,7 +221,7 @@ class Report:
 
 def attack(
     method: str,
-    g: GraphLike,
+    g: Graph,
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
@@ -339,7 +324,7 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def summarise(records: Sequence[TargetRecord], g: GraphLike, runs: int) -> list[SummaryRow]:
+def summarise(records: Sequence[TargetRecord], g: Graph, runs: int) -> list[SummaryRow]:
     """Aggregate per-target records into one row per grid cell."""
     pr = pagerank(g)
     cells: dict[tuple[str, float, float], list[TargetRecord]] = {}

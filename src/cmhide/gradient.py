@@ -13,20 +13,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError, SingletonCommunityError
-from .graph import (
-    AdjacencyVector,
-    EdgeDelta,
-    GraphLike,
-    apply_delta,
-    clamp_add,
-    delta_between,
-)
+from .graph import EdgeDelta, Graph, apply_delta, clamp_add, delta_between
 from .scoring import DEFAULT_WEIGHTS, StructuralScores, promising_actions, structural_scores
 
 
@@ -94,7 +87,7 @@ class HidingOutcome:
     similarity: float
     deltas: tuple[EdgeDelta, ...]
     used_budget: int
-    graph: GraphLike
+    graph: Graph
     partition: Partition
     iterations: int = 0
     detections: int = 0
@@ -177,18 +170,8 @@ def loss_gradient(
     return g
 
 
-def momentum_average(grads: Sequence[np.ndarray], gamma: float = 0.9) -> np.ndarray:
-    """Exponentially weighted mean of a gradient history (latest weighs most)."""
-    if not grads:
-        raise ValueError("gradient history is empty")
-    acc = np.zeros_like(grads[0])
-    for g in grads:
-        acc = gamma * acc + g
-    return (1.0 - gamma) * acc
-
-
 def _prepare_target(
-    g: GraphLike, u: int, detector: DetectorSpec, partition: Partition | None
+    g: Graph, u: int, detector: DetectorSpec, partition: Partition | None
 ) -> tuple[Partition, frozenset[int], int]:
     """Prelude shared by every attack.
 
@@ -211,7 +194,7 @@ def _prepare_target(
 
 
 def hide(
-    g: GraphLike,
+    g: Graph,
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
@@ -234,14 +217,14 @@ def hide(
         g, u, partition, scores=scores, weights=config.weights,
         complement=config.complement_targets,
     )
-    a_u = g.adjacency_vector(u)
-    row = a_u.bits.astype(float)
+    bits = g.row(u)
+    row = bits.astype(float)
     empty = EdgeDelta(u)
-    cache: dict[EdgeDelta, tuple[float, GraphLike, Partition]] = {
+    cache: dict[EdgeDelta, tuple[float, Graph, Partition]] = {
         empty: (1.0, g, partition)
     }
 
-    def evaluate(delta: EdgeDelta) -> tuple[float, GraphLike, Partition]:
+    def evaluate(delta: EdgeDelta) -> tuple[float, Graph, Partition]:
         """Similarity, graph and partition of a rewired row, detected once per row."""
         nonlocal detections
         hit = cache.get(delta)
@@ -258,10 +241,10 @@ def hide(
     m = np.zeros(n)
     v = np.zeros(n)
     adam_t = 0
-    grads: list[np.ndarray] = []
+    g_acc = np.zeros(n)  # gamma-discounted gradient sum, kept across restarts
 
     sim = 1.0
-    cur_graph: GraphLike = g
+    cur_graph = g
     cur_part = partition
     cur_delta = empty
     best = (1.0, empty, g, partition)
@@ -274,7 +257,7 @@ def hide(
             p_hat, target_vec, row, config.lam, config.q, config.norm_eps,
             squared=config.squared_loss, owner=u,
         )
-        grads.append(grad)
+        g_acc = config.gamma * g_acc + grad
         adam_t += 1
         m = config.beta1 * m + (1.0 - config.beta1) * grad
         v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
@@ -282,8 +265,8 @@ def hide(
         v_hat = v / (1.0 - config.beta2**adam_t)
         p_hat = np.tanh(p_hat - config.eta * m_hat / (np.sqrt(v_hat) + config.adam_eps))
         p = threshold(p_hat, config.t_plus, config.t_minus)
-        new_row = clamp_add(a_u, p)
-        delta = delta_between(a_u, new_row)
+        new_row = clamp_add(bits, u, p)
+        delta = delta_between(u, bits, new_row)
         if delta.size > config.beta:
             # over budget: drop the overlay and restart from a fresh sample
             restarts += 1
@@ -304,9 +287,8 @@ def hide(
     if sim > config.tau:
         sim, cur_delta, cur_graph, cur_part = best
     if config.exhaust_budget:
-        # tau < 1 and max_iter >= 1, so the loop ran and grads is not empty
-        g_bar = momentum_average(grads, config.gamma)
-        toggled = project_to_budget(a_u, p_hat, g_bar, cur_delta.toggled, config)
+        g_bar = (1.0 - config.gamma) * g_acc
+        toggled = project_to_budget(bits, u, p_hat, g_bar, cur_delta.toggled, config)
         cur_delta = EdgeDelta(u, toggled)
         sim, cur_graph, cur_part = evaluate(cur_delta)
     return HidingOutcome(
@@ -326,7 +308,7 @@ def hide(
 
 
 def hide_projected(
-    g: GraphLike,
+    g: Graph,
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
@@ -373,7 +355,8 @@ def _rounds_to_flip(
 
 
 def project_to_budget(
-    a_u: AdjacencyVector,
+    bits: np.ndarray,
+    u: int,
     p_hat: np.ndarray,
     g_bar: np.ndarray,
     applied: frozenset[int],
@@ -385,10 +368,9 @@ def project_to_budget(
     are committed as they cross the thresholds and never retracted. When a
     round would overshoot the budget, the crossing coordinates are ranked
     by |p_hat| * |g_bar| and only the best fit. Coordinates the gradient
-    cannot reach are filled in by the same ranking at the end.
+    cannot reach are filled in by the same ranking at the end. bits is
+    node u's adjacency row.
     """
-    u = a_u.owner
-    bits = a_u.bits
     n = bits.size
     applied_set = set(applied)
     budget_left = config.beta - len(applied_set)

@@ -1,15 +1,16 @@
 """Immutable simple undirected graphs, edge-list ingestion and edge-delta overlays.
 
 Graphs carry arbitrary string labels mapped to contiguous internal ids
-0..n-1 (first-appearance order). Counterfactual graphs are cheap overlays
-that XOR a set of toggled edges on top of an immutable base graph; the
-base is never copied or mutated.
+0..n-1 (first-appearance order). A counterfactual graph is an overlay: a
+Graph that XORs a set of toggled edges onto an immutable base graph and
+shares every untouched row with it; the base is never copied or mutated.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
@@ -38,28 +39,6 @@ class EdgeDelta:
             yield (self.owner, v) if self.owner < v else (v, self.owner)
 
 
-@dataclass(frozen=True)
-class AdjacencyVector:
-    """One row of the adjacency matrix; bits[owner] is always 0."""
-
-    owner: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.int8)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-        if bits[self.owner] != 0:
-            raise ValueError("adjacency vector has a self edge")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AdjacencyVector)
-            and self.owner == other.owner
-            and np.array_equal(self.bits, other.bits)
-        )
-
-
 @dataclass
 class LoadStats:
     """Normalisation counters from edge-list ingestion."""
@@ -71,9 +50,13 @@ class LoadStats:
 
 
 class Graph:
-    """Simple undirected graph, immutable after construction."""
+    """Simple undirected graph, immutable after construction.
 
-    __slots__ = ("n", "m", "_adj", "_edges", "_labels", "_ids")
+    Each node's row is the sorted tuple of its neighbours; every read goes
+    through the rows.
+    """
+
+    __slots__ = ("n", "m", "_adj", "_labels", "_ids")
 
     def __init__(self, labelled_edges: Iterable[tuple[str, str]], node_labels: Iterable[str] = ()):
         ids: dict[str, int] = {}
@@ -88,7 +71,6 @@ class Graph:
             pairs.add((ia, ib) if ia < ib else (ib, ia))
         self.n = len(ids)
         self.m = len(pairs)
-        self._edges = frozenset(pairs)
         self._labels = tuple(ids)  # insertion order == id order
         self._ids = ids
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -97,8 +79,6 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
-    # -- read API (shared with GraphOverlay) --------------------------------
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -106,11 +86,21 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edges
+        row = self._adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        return frozenset((u, v) for u, row in enumerate(self._adj) for v in row if u < v)
+
+    def row(self, u: int) -> np.ndarray:
+        """Node u's row of the adjacency matrix as a read-only int8 vector."""
+        bits = np.zeros(self.n, dtype=np.int8)
+        nbrs = self._adj[u]
+        if nbrs:
+            bits[list(nbrs)] = 1
+        bits.setflags(write=False)
+        return bits
 
     def label_of(self, v: int) -> str:
         return self._labels[v]
@@ -125,106 +115,44 @@ class Graph:
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
-    def adjacency_vector(self, u: int) -> AdjacencyVector:
-        bits = np.zeros(self.n, dtype=np.int8)
-        nbrs = self._adj[u]
-        if nbrs:
-            bits[list(nbrs)] = 1
-        return AdjacencyVector(u, bits)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Graph, GraphOverlay)):
+        if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.labels == other.labels
-            and self.edges() == other.edges()
-        )
+        return self.n == other.n and self._labels == other._labels and self._adj == other._adj
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
 
 
-class GraphOverlay:
-    """Read view of a base graph with a set of toggled edges.
+class GraphOverlay(Graph):
+    """A base graph with a set of toggled edges.
 
-    Only rows touched by the toggles differ from the base; neighbour lists
-    for touched rows are computed on first access and cached (the overlay
-    itself is immutable).
+    Shares the base's labels, ids and untouched rows; only the rows the
+    toggles touch are rebuilt. The base is kept so that stacked deltas
+    combine their toggles on it (see apply_delta).
     """
 
-    __slots__ = ("base", "toggled_edges", "m", "_touched", "_row_cache")
+    __slots__ = ("base", "toggled_edges")
 
     def __init__(self, base: Graph, toggled_edges: frozenset[tuple[int, int]]):
         self.base = base
         self.toggled_edges = toggled_edges
-        added = sum(1 for e in toggled_edges if e not in base.edges())
-        self.m = base.m + added - (len(toggled_edges) - added)
+        self.n = base.n
+        self._labels = base._labels
+        self._ids = base._ids
         touched: dict[int, set[int]] = {}
         for u, v in toggled_edges:
             touched.setdefault(u, set()).add(v)
             touched.setdefault(v, set()).add(u)
-        self._touched = touched
-        self._row_cache: dict[int, tuple[int, ...]] = {}
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.base.labels
-
-    def label_of(self, v: int) -> str:
-        return self.base.label_of(v)
-
-    def id_of(self, label: str) -> int:
-        return self.base.id_of(label)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        flips = self._touched.get(v)
-        if flips is None:
-            return self.base.neighbors(v)
-        row = self._row_cache.get(v)
-        if row is None:
-            row = tuple(sorted(set(self.base.neighbors(v)) ^ flips))
-            self._row_cache[v] = row
-        return row
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return (key in self.base.edges()) ^ (key in self.toggled_edges)
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self.base.edges() ^ self.toggled_edges
-
-    def adjacency_vector(self, u: int) -> AdjacencyVector:
-        bits = np.zeros(self.n, dtype=np.int8)
-        nbrs = self.neighbors(u)
-        if nbrs:
-            bits[list(nbrs)] = 1
-        return AdjacencyVector(u, bits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Graph, GraphOverlay)):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.labels == other.labels
-            and self.edges() == other.edges()
-        )
-
-    def __repr__(self) -> str:
-        return f"GraphOverlay(n={self.n}, m={self.m}, toggles={len(self.toggled_edges)})"
+        adj = list(base._adj)
+        for v, flips in touched.items():
+            adj[v] = tuple(sorted(set(adj[v]) ^ flips))
+        self._adj = tuple(adj)
+        added = sum(1 for u, v in toggled_edges if not base.has_edge(u, v))
+        self.m = base.m + added - (len(toggled_edges) - added)
 
 
-GraphLike = Union[Graph, GraphOverlay]
-
-
-def apply_delta(g: GraphLike, delta: EdgeDelta) -> GraphLike:
+def apply_delta(g: Graph, delta: EdgeDelta) -> Graph:
     """Overlay an edge delta on a graph (or on another overlay).
 
     Applying the same delta twice cancels out; an overlay whose toggle set
@@ -243,27 +171,27 @@ def apply_delta(g: GraphLike, delta: EdgeDelta) -> GraphLike:
     return GraphOverlay(g, toggles)
 
 
-def clamp_add(a: AdjacencyVector, p: np.ndarray) -> AdjacencyVector:
-    """Element-wise clamp(a + p) into {0,1} for a discrete perturbation p.
+def clamp_add(row: np.ndarray, owner: int, p: np.ndarray) -> np.ndarray:
+    """Element-wise clamp(row + p) into {0,1} for a discrete perturbation p.
 
-    p must take values in {-1, 0, +1} with p[owner] == 0.
+    row is the owner's adjacency row; p must take values in {-1, 0, +1}
+    with p[owner] == 0.
     """
     p = np.asarray(p)
-    if p.shape != a.bits.shape:
+    if p.shape != row.shape:
         raise ValueError("perturbation length does not match adjacency vector")
-    if p[a.owner] != 0:
+    if row[owner] != 0:
+        raise ValueError("adjacency vector has a self edge")
+    if p[owner] != 0:
         raise ValueError("perturbation must leave the owner position untouched")
     if not ((p == 0) | (p == 1) | (p == -1)).all():
         raise ValueError("perturbation entries must be in {-1, 0, +1}")
-    bits = np.clip(a.bits + p.astype(np.int64), 0, 1).astype(np.int8)
-    return AdjacencyVector(a.owner, bits)
+    return np.clip(row + p.astype(np.int64), 0, 1).astype(np.int8)
 
 
-def delta_between(a: AdjacencyVector, b: AdjacencyVector) -> EdgeDelta:
-    """Edge delta turning adjacency vector `a` into `b` (same owner)."""
-    if a.owner != b.owner:
-        raise ValueError("adjacency vectors have different owners")
-    return EdgeDelta(a.owner, frozenset(np.flatnonzero(a.bits != b.bits).tolist()))
+def delta_between(owner: int, a: np.ndarray, b: np.ndarray) -> EdgeDelta:
+    """Edge delta turning the owner's adjacency row `a` into `b`."""
+    return EdgeDelta(owner, frozenset(np.flatnonzero(a != b).tolist()))
 
 
 def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, LoadStats]:
@@ -318,7 +246,7 @@ def load_edge_list(source: Union[IO, str, bytes]) -> Graph:
     return graph
 
 
-def dump_edge_list(g: GraphLike, sink: IO[str]) -> None:
+def dump_edge_list(g: Graph, sink: IO[str]) -> None:
     """Deterministic serialisation: min label first per edge, sorted lines."""
     lines = []
     for u, v in g.edges():

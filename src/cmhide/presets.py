@@ -83,8 +83,13 @@ def load_preset(ref: str) -> Preset:
             f"unknown preset {ref!r} (not a built-in name or a file); "
             f"available: {', '.join(PRESET_NAMES)}"
         )
-    with open(ref, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(ref, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read preset file {ref!r}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"preset file {ref!r} is not JSON text: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"preset file {ref!r} must contain a JSON object")
     missing = {"eta", "lam", "max_iter", "weights"} - set(obj)

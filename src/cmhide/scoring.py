@@ -16,7 +16,7 @@ import numpy as np
 
 from .detectors import Partition
 from .errors import ConfigError
-from .graph import GraphLike
+from .graph import Graph
 
 PROPERTY_NAMES = ("betweenness", "degree", "intra_degree", "inter_degree")
 
@@ -30,7 +30,7 @@ DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 _BLOCK = 8
 
 
-def _csr(g: GraphLike) -> tuple[np.ndarray, np.ndarray]:
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Compressed sparse rows of g: neighbours of v are indices[indptr[v]:indptr[v + 1]]."""
     rows = [g.neighbors(v) for v in range(g.n)]
     indptr = np.zeros(g.n + 1, dtype=np.int64)
@@ -51,7 +51,7 @@ def _expand(front: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray):
     return np.repeat(front, deg), head
 
 
-def betweenness(g: GraphLike) -> np.ndarray:
+def betweenness(g: Graph) -> np.ndarray:
     """Shortest-path betweenness, unnormalised, each node pair counted once.
 
     Brandes' accumulation, run for a block of sources at a time with
@@ -102,7 +102,7 @@ def betweenness(g: GraphLike) -> np.ndarray:
 
 
 def pagerank(
-    g: GraphLike, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 5000
+    g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 5000
 ) -> np.ndarray:
     """Power-iteration PageRank with uniform teleport; sums to 1."""
     n = g.n
@@ -127,7 +127,7 @@ def pagerank(
     raise ArithmeticError(f"pagerank failed to converge within {max_iter} iterations")
 
 
-def community_degrees(g: GraphLike, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+def community_degrees(g: Graph, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (intra, inter) degree split relative to a partition."""
     n = g.n
     indptr, indices = _csr(g)
@@ -170,7 +170,7 @@ class StructuralScores:
 
 
 def structural_scores(
-    g: GraphLike, partition: Partition, weights=DEFAULT_WEIGHTS
+    g: Graph, partition: Partition, weights=DEFAULT_WEIGHTS
 ) -> StructuralScores:
     """Combine the four structural properties into one score per node."""
     w = _check_weights(weights)
@@ -195,7 +195,7 @@ def structural_scores(
 
 
 def promising_actions(
-    g: GraphLike,
+    g: Graph,
     u: int,
     partition: Partition,
     scores: StructuralScores | None = None,
@@ -210,7 +210,7 @@ def promising_actions(
     targets the plain bitwise complement of u's row instead.
     """
     if complement:
-        bits = g.adjacency_vector(u).bits
+        bits = g.row(u)
         tgt = 1.0 - bits.astype(float)
         tgt[u] = 0.5
         return tgt

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cmhide import DetectorSpec, Graph, detect, load_fixture
+from cmhide import DetectorSpec, detect, load_fixture
+from cmhide.graph import Graph
 
 
 @pytest.fixture(scope="session")

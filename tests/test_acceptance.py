@@ -19,26 +19,24 @@ from cmhide import (
     DetectorSpec,
     EdgeDelta,
     ExperimentSpec,
-    Graph,
     HidingConfig,
     Partition,
-    WALL_COLUMNS,
     apply_delta,
-    betweenness,
     detect,
-    dice_similarity,
     f1_score,
     get_preset,
     hide,
     load_fixture,
-    loss_gradient,
-    loss_value,
-    modularity,
     nmi,
     pagerank,
     run_experiment,
 )
 from cmhide.cli import main as cli_main
+from cmhide.detectors import modularity
+from cmhide.evaluation import WALL_COLUMNS
+from cmhide.gradient import dice_similarity, loss_gradient, loss_value
+from cmhide.graph import Graph
+from cmhide.scoring import betweenness
 
 ORACLE_TOL = 1e-10
 

@@ -2,15 +2,15 @@ import pytest
 
 from cmhide import (
     ConfigError,
-    Graph,
     HidingConfig,
     Partition,
     SingletonCommunityError,
     apply_delta,
-    betweenness,
     detect,
     run_baseline,
 )
+from cmhide.graph import Graph
+from cmhide.scoring import betweenness
 
 CFG = HidingConfig(tau=0.5, beta=3)
 

@@ -2,16 +2,9 @@ import json
 
 import pytest
 
-from cmhide import (
-    ALL_METHODS,
-    SUMMARY_COLUMNS,
-    DetectorSpec,
-    attack,
-    get_preset,
-    load_fixture,
-    pagerank,
-)
+from cmhide import ALL_METHODS, DetectorSpec, get_preset, load_fixture, pagerank
 from cmhide.cli import main
+from cmhide.evaluation import SUMMARY_COLUMNS, attack
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +218,15 @@ def _json_file(tmp_path, obj) -> str:
     return str(path)
 
 
+def _bytes_file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    return str(path)
+
+
+LATIN1 = "caf\xe9 bar\n".encode("latin-1")  # not UTF-8
+
+
 HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
 
 BAD_INPUTS = {
@@ -271,10 +273,29 @@ BAD_INPUTS = {
         "analyze", "scores", "--graph", "kar", "--weights", "nan,1,1,1",
         "--partition", _json_file(tmp, {"communities": [[str(v) for v in range(34)]]}),
     ),
+    "graph not utf-8": lambda tmp: ("detect", "--graph", _bytes_file(tmp, LATIN1)),
+    "graph not an edge list": lambda tmp: ("detect", "--graph", _bytes_file(tmp, b"a b c\n")),
+    "partition not utf-8": lambda tmp: (
+        "analyze", "scores", "--graph", "kar", "--partition", _bytes_file(tmp, LATIN1),
+    ),
+    "partition directory": lambda tmp: (
+        "analyze", "scores", "--graph", "kar", "--partition", str(tmp),
+    ),
+    "spec directory": lambda tmp: (
+        "benchmark", "--spec", str(tmp), "--out", str(tmp / "out"), "--jobs", "1",
+    ),
+    "config directory": lambda tmp: HIDE_9 + ("--config", str(tmp)),
+    "preset directory": lambda tmp: HIDE_9 + ("--preset", str(tmp)),
     "spec beta factor nan": lambda tmp: (
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "beta_factors": ["nan"]}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
+}
+
+
+UNREADABLE_FILES = {
+    "config directory", "graph directory", "graph not an edge list", "graph not utf-8",
+    "partition directory", "partition not utf-8", "preset directory", "spec directory",
 }
 
 
@@ -286,6 +307,8 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     assert err.startswith("cmhide: error:")
     if "--weights" in argv:  # the message quotes what was typed
         assert repr(argv[argv.index("--weights") + 1]) in err
+    if case in UNREADABLE_FILES:  # and names the file
+        assert str(tmp_path) in err
 
 
 def test_loader_notes_dropped_lines(capsys, tmp_path):

@@ -6,7 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cmhide import DetectorSpec, EdgeDelta, Graph, Partition, apply_delta, detect, modularity
+from cmhide import DetectorSpec, EdgeDelta, Partition, apply_delta, detect
+from cmhide.detectors import modularity
+from cmhide.graph import Graph
 
 from conftest import graph_from_edges, random_graph, set_partitions
 

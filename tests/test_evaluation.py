@@ -13,25 +13,24 @@ from cmhide import (
     ConfigError,
     DetectorSpec,
     ExperimentSpec,
-    Graph,
     Partition,
-    SUMMARY_COLUMNS,
-    TargetRecord,
     budget_for,
-    detect,
     f1_score,
     get_preset,
     nmi,
     pagerank,
-    partition_nmi,
-    report_to_json,
     run_experiment,
+)
+from cmhide.evaluation import (
+    SUMMARY_COLUMNS,
+    TargetRecord,
+    report_to_json,
     sample_targets,
-    success_rate_at,
     summarise,
     write_records_csv,
     write_summary_csv,
 )
+from cmhide.graph import Graph
 
 VARIANTS = ("arithmetic", "geometric", "min", "max")
 
@@ -93,13 +92,6 @@ def test_nmi_input_validation():
         nmi([], [])
     with pytest.raises(ConfigError):
         nmi([0, 1], [0, 1], variant="harmonic")
-
-
-def test_partition_nmi_uses_memberships():
-    a = Partition.from_communities([[0, 1], [2, 3]])
-    b = Partition.from_communities([[0, 1, 2, 3]])
-    assert partition_nmi(a, a, 4) == 1.0
-    assert partition_nmi(a, b, 4) == 0.0
 
 
 def test_f1_score_is_the_harmonic_mean():
@@ -171,17 +163,6 @@ def mk_record(run, target, success, similarity, used, nmi_val, counterparts, wal
         restarts=0,
         wall_seconds=wall,
     )
-
-
-def test_success_can_be_reevaluated_at_other_thresholds():
-    rec = mk_record(0, 1, True, 0.5, 2, 1.0, (0,), 0.0)
-    assert not rec.success_at(0.3)
-    assert rec.success_at(0.5)
-    assert rec.success_at(0.8)
-    over = replace(rec, used_budget=4)
-    assert not over.success_at(0.8)  # over budget never counts
-    assert success_rate_at([rec, over], 0.5) == 0.5
-    assert success_rate_at([], 0.5) == 0.0
 
 
 def test_summarise_aggregates_per_run_then_across_runs():

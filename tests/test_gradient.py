@@ -6,22 +6,23 @@ import pytest
 from cmhide import (
     ConfigError,
     EdgeDelta,
-    Graph,
     HidingConfig,
-    HidingOutcome,
     SingletonCommunityError,
     apply_delta,
     detect,
-    dice_similarity,
     get_preset,
     hide,
+)
+from cmhide.gradient import (
+    HidingOutcome,
+    dice_similarity,
     hide_projected,
     loss_gradient,
     loss_value,
-    momentum_average,
     project_to_budget,
     threshold,
 )
+from cmhide.graph import Graph
 
 
 def test_dice_similarity_examples():
@@ -101,18 +102,6 @@ def test_loss_gradient_zeroes_owner_coordinate():
     assert np.array_equal(g[mask], g_free[mask])
 
 
-def test_momentum_average_weighting():
-    g1 = np.array([1.0, -2.0])
-    assert np.allclose(momentum_average([g1], gamma=0.9), 0.1 * g1)
-    g2 = np.array([0.5, 4.0])
-    expected = 0.1 * (0.9 * g1 + g2)
-    assert np.allclose(momentum_average([g1, g2], gamma=0.9), expected)
-    # gamma 0 keeps only the latest gradient
-    assert np.allclose(momentum_average([g1, g2], gamma=0.0), g2)
-    with pytest.raises(ValueError):
-        momentum_average([], gamma=0.9)
-
-
 def assert_replays(g, outcome, detector, beta):
     """The outcome's graph and partition are what its deltas reproduce."""
     replayed = apply_delta(g, outcome.delta)
@@ -127,40 +116,40 @@ def sparse_graph_n4() -> Graph:
 
 
 def test_projection_ranks_overshooting_flips():
-    a_u = sparse_graph_n4().adjacency_vector(3)
+    bits = sparse_graph_n4().row(3)
     p_hat = np.array([0.3, 0.1, -0.1, 0.0])
     g_bar = np.array([-1.0, -0.5, -1.0, 0.0])
     config = HidingConfig(beta=1, eta=0.6)
     # one round moves p_hat to (0.9, 0.4, 0.5, 0): coords 0 and 2 cross at
     # once, and |p_hat| * |g_bar| = (0.9, _, 0.5) keeps only coord 0
-    toggled = project_to_budget(a_u, p_hat, g_bar, frozenset(), config)
+    toggled = project_to_budget(bits, 3, p_hat, g_bar, frozenset(), config)
     assert toggled == frozenset({0})
 
 
 def test_projection_falls_back_to_magnitude_without_gradient():
-    a_u = sparse_graph_n4().adjacency_vector(3)
+    bits = sparse_graph_n4().row(3)
     p_hat = np.array([0.2, -0.7, 0.4, 0.0])
     toggled = project_to_budget(
-        a_u, p_hat, np.zeros(4), frozenset(), HidingConfig(beta=2, eta=0.1)
+        bits, 3, p_hat, np.zeros(4), frozenset(), HidingConfig(beta=2, eta=0.1)
     )
     assert toggled == frozenset({1, 2})
 
 
 def test_projection_keeps_exhausted_budget_untouched():
-    a_u = sparse_graph_n4().adjacency_vector(3)
+    bits = sparse_graph_n4().row(3)
     applied = frozenset({0})
     toggled = project_to_budget(
-        a_u, np.zeros(4), np.ones(4), applied, HidingConfig(beta=1, eta=0.5)
+        bits, 3, np.zeros(4), np.ones(4), applied, HidingConfig(beta=1, eta=0.5)
     )
     assert toggled == applied
 
 
 def test_projection_skips_already_applied_coordinates():
-    a_u = sparse_graph_n4().adjacency_vector(3)
+    bits = sparse_graph_n4().row(3)
     p_hat = np.zeros(4)
     g_bar = np.array([-1.0, -1.0, -0.5, 0.0])
     toggled = project_to_budget(
-        a_u, p_hat, g_bar, frozenset({1}), HidingConfig(beta=2, eta=0.6)
+        bits, 3, p_hat, g_bar, frozenset({1}), HidingConfig(beta=2, eta=0.6)
     )
     assert toggled == frozenset({0, 1})
 

@@ -5,19 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from cmhide import (
-    EdgeDelta,
-    EdgeListParseError,
+from cmhide import EdgeDelta, EdgeListParseError, apply_delta, load_edge_list
+from cmhide.graph import (
+    Graph,
     GraphOverlay,
-    apply_delta,
     clamp_add,
     delta_between,
     dump_edge_list,
-    load_edge_list,
     load_edge_list_with_stats,
 )
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, random_graph
 
 
 def test_karate_fixture_shape(kar):
@@ -113,49 +111,102 @@ def test_overlay_stacking_xor():
 
 
 def test_adjacency_vector_bits(kar):
-    a = kar.adjacency_vector(0)
-    assert a.bits[0] == 0
-    assert a.bits.sum() == kar.degree(0)
-    assert not a.bits.flags.writeable
+    a = kar.row(0)
+    assert a.dtype == np.int8
+    assert a[0] == 0
+    assert np.flatnonzero(a).tolist() == list(kar.neighbors(0))
+    assert not a.flags.writeable
 
 
 def test_clamp_add_semantics():
     g = graph_from_edges([(0, 1), (0, 2)])
-    a = g.adjacency_vector(0)
+    a = g.row(0)
     p = np.array([0, 1, -1])  # 1 stays 1 under +1; 1 drops to 0 under -1
-    out = clamp_add(a, p)
-    assert out.bits.tolist() == [0, 1, 0]
+    assert clamp_add(a, 0, p).tolist() == [0, 1, 0]
     p2 = np.array([0, -1, 0])
-    assert clamp_add(a, p2).bits.tolist() == [0, 0, 1]
+    assert clamp_add(a, 0, p2).tolist() == [0, 0, 1]
 
 
 def test_clamp_add_identity(kar):
-    a = kar.adjacency_vector(3)
-    assert clamp_add(a, np.zeros(kar.n, dtype=int)) == a
+    a = kar.row(3)
+    assert np.array_equal(clamp_add(a, 3, np.zeros(kar.n, dtype=int)), a)
 
 
 def test_clamp_add_rejects_owner_touch():
     g = graph_from_edges([(0, 1)])
-    a = g.adjacency_vector(0)
+    a = g.row(0)
     with pytest.raises(ValueError):
-        clamp_add(a, np.array([1, 0]))
+        clamp_add(a, 0, np.array([1, 0]))
     with pytest.raises(ValueError):
-        clamp_add(a, np.array([0, 2]))
+        clamp_add(a, 0, np.array([0, 2]))
     for outside in (0.5, float("nan")):
         with pytest.raises(ValueError, match="entries must be in"):
-            clamp_add(a, np.array([0, outside]))
+            clamp_add(a, 0, np.array([0, outside]))
     with pytest.raises(ValueError, match="length"):
-        clamp_add(a, np.array([0, 1, 0]))
+        clamp_add(a, 0, np.array([0, 1, 0]))
+    with pytest.raises(ValueError, match="self edge"):
+        clamp_add(np.array([1, 1], dtype=np.int8), 0, np.array([0, 0]))
 
 
 def test_delta_between_is_hamming_support():
     g = graph_from_edges([(0, 1), (0, 2), (3, 4)])
-    a = g.adjacency_vector(0)
-    b = clamp_add(a, np.array([0, -1, 0, 1, 0]))
-    d = delta_between(a, b)
+    a = g.row(0)
+    b = clamp_add(a, 0, np.array([0, -1, 0, 1, 0]))
+    d = delta_between(0, a, b)
     assert d.owner == 0
     assert d.toggled == frozenset((1, 3))
-    assert d.size == int((a.bits != b.bits).sum())
+    assert d.size == int((a != b).sum())
+
+
+def _stacked_deltas(g, rng):
+    """1-3 seeded deltas of 1-8 toggles each; about a third repeat an earlier one."""
+    stack = []
+    for _ in range(rng.integers(1, 4)):
+        if stack and rng.random() < 1 / 3:
+            stack.append(stack[rng.integers(len(stack))])  # cancels that delta
+            continue
+        owner = int(rng.integers(g.n))
+        others = [v for v in range(g.n) if v != owner]
+        size = int(rng.integers(1, min(8, len(others)) + 1))
+        stack.append(EdgeDelta(owner, frozenset(rng.choice(others, size, replace=False).tolist())))
+    return stack
+
+
+@pytest.mark.parametrize("name", ["kar", "random"])
+def test_overlay_reads_like_a_rebuilt_graph(kar, name):
+    rng = np.random.default_rng(11)
+    if name == "kar":
+        bases = [kar]
+    else:
+        bases = [random_graph(int(rng.integers(4, 16)), 0.2, seed) for seed in range(8)]
+        assert any(g.degree(v) == 0 for g in bases for v in range(g.n))
+    repeats = 0
+    for base in bases:
+        for _ in range(24):
+            stack = _stacked_deltas(base, rng)
+            repeats += len(set(stack)) < len(stack)
+            view, edges = base, set(base.edges())
+            for delta in stack:
+                view = apply_delta(view, delta)
+                edges ^= set(delta.edges())
+            rebuilt = Graph(
+                [(base.label_of(a), base.label_of(b)) for a, b in sorted(edges)],
+                node_labels=base.labels,
+            )
+            assert rebuilt.labels == view.labels
+            assert view == rebuilt and rebuilt == view
+            assert view.m == rebuilt.m == len(edges)
+            assert view.edges() == rebuilt.edges() == edges
+            for v in range(base.n):
+                assert view.neighbors(v) == rebuilt.neighbors(v)
+                assert view.degree(v) == rebuilt.degree(v)
+                assert np.array_equal(view.row(v), rebuilt.row(v))
+                for w in range(base.n):
+                    assert view.has_edge(v, w) == rebuilt.has_edge(v, w)
+            for delta in stack:  # the same toggles again cancel down to the base
+                view = apply_delta(view, delta)
+            assert view is base
+    assert repeats  # some stacks cancel a delta part way
 
 
 def test_edge_delta_rejects_self_toggle():

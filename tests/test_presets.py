@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from cmhide import PRESET_NAMES, ConfigError, get_preset, load_preset
+from cmhide import ConfigError, get_preset
+from cmhide.presets import PRESET_NAMES, load_preset
 
 EXPECTED = {
     "kar": (0.079, 1.71, 120, (0.33, 0.20, 0.21, 0.24), True),
