@@ -6,8 +6,8 @@ the optimiser. Ranked choices break ties by the smaller node id, so the
 degree, centrality, dice and roam baselines are fully deterministic.
 
 A baseline is a plan: given the graph, the target, its community, the
-budget and a seed, it returns the row deltas to apply. `run_baseline`
-applies them and scores the result.
+budget, a seed and the graph's structural scores (or None), it returns the
+row deltas to apply. `run_baseline` applies them and scores the result.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity
 from .graph import EdgeDelta, Graph, apply_delta
-from .scoring import betweenness
+from .scoring import StructuralScores, betweenness
 
 
 def _dice(
-    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
+    scores: StructuralScores | None,
 ) -> tuple[EdgeDelta, ...]:
     """Disconnect internally once, connect externally with the rest.
 
@@ -46,7 +47,8 @@ def _dice(
 
 
 def _roam(
-    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
+    scores: StructuralScores | None,
 ) -> tuple[EdgeDelta, ...]:
     """Detach the strongest neighbour and rewire it to the target's others.
 
@@ -67,53 +69,50 @@ def _roam(
 
 
 def _random(
-    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
+    scores: StructuralScores | None,
 ) -> tuple[EdgeDelta, ...]:
     """Toggle the edge to a uniformly drawn node, budget times.
 
     Draws are independent, so a node drawn twice is toggled back and the
-    net change can be smaller than the budget.
+    net change can be smaller than the budget. Draw i among the n - 1
+    other nodes is node i, or i + 1 from u on.
     """
-    rng = np.random.default_rng(seed)
-    candidates = np.array([v for v in range(g.n) if v != u])
-    toggles: set[int] = set()
-    if candidates.size:
-        for idx in rng.integers(candidates.size, size=beta):
-            toggles.symmetric_difference_update((int(candidates[idx]),))
-    return (EdgeDelta(u, frozenset(toggles)),)
+    draws = np.random.default_rng(seed).integers(g.n - 1, size=beta)
+    nodes, counts = np.unique(draws + (draws >= u), return_counts=True)
+    return (EdgeDelta(u, frozenset(nodes[counts % 2 == 1].tolist())),)
+
+
+def _top_ranked(values: np.ndarray, u: int, beta: int) -> tuple[EdgeDelta, ...]:
+    """Toggle the edges to the beta nodes other than u with the largest values."""
+    order = np.lexsort((np.arange(values.size), -values))  # ties to the smaller id
+    return (EdgeDelta(u, frozenset(order[order != u][:beta].tolist())),)
 
 
 def _degree(
-    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
+    scores: StructuralScores | None,
 ) -> tuple[EdgeDelta, ...]:
-    """Toggle the edge to the currently highest-degree node, budget times.
+    """Toggle the edges to the highest-degree nodes of the input graph.
 
-    Degrees are recomputed on the perturbed graph after every toggle; each
-    node is toggled at most once per run.
+    Toggling (u, v) changes only the degrees of u and v, and neither can be
+    picked again, so re-ranking after every toggle would pick the same nodes.
     """
-    view = g
-    toggles: set[int] = set()
-    for _ in range(beta):
-        remaining = [v for v in range(g.n) if v != u and v not in toggles]
-        if not remaining:
-            break
-        v = min(remaining, key=lambda x: (-view.degree(x), x))
-        toggles.add(v)
-        view = apply_delta(view, EdgeDelta(u, frozenset((v,))))
-    return (EdgeDelta(u, frozenset(toggles)),)
+    degrees = np.fromiter(map(g.degree, range(g.n)), dtype=np.int64, count=g.n)
+    return _top_ranked(degrees, u, beta)
 
 
 def _centrality(
-    g: Graph, u: int, members: frozenset[int], beta: int, seed: int
+    g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
+    scores: StructuralScores | None,
 ) -> tuple[EdgeDelta, ...]:
     """Toggle edges to the top betweenness-centrality nodes.
 
-    Centrality is computed once on the original graph; recomputing it per
-    toggle would cost another full all-pairs pass per step.
+    Centrality is taken on the original graph, from `scores` when given;
+    recomputing it per toggle would cost another full all-pairs pass per step.
     """
-    bc = betweenness(g)
-    ranked = sorted((v for v in range(g.n) if v != u), key=lambda v: (-bc[v], v))
-    return (EdgeDelta(u, frozenset(ranked[:beta])),)
+    bc = betweenness(g) if scores is None else scores.raw["betweenness"]
+    return _top_ranked(bc, u, beta)
 
 
 _PLANS = {
@@ -134,8 +133,13 @@ def run_baseline(
     config: HidingConfig,
     seed: int = 0,
     partition: Partition | None = None,
+    scores: StructuralScores | None = None,
 ) -> HidingOutcome:
-    """Apply the named baseline's rewiring to node u and score it."""
+    """Apply the named baseline's rewiring to node u and score it.
+
+    `scores`, the structural scores of g, spare `centrality` its own
+    betweenness pass.
+    """
     try:
         plan = _PLANS[name]
     except KeyError:
@@ -144,7 +148,7 @@ def run_baseline(
         ) from None
     t_start = time.perf_counter()
     partition, reference, detections = _prepare_target(g, u, detector, partition)
-    deltas = plan(g, u, partition.community_members(u), config.beta, seed)
+    deltas = plan(g, u, partition.community_members(u), config.beta, seed, scores)
     g2 = g
     used = 0
     for d in deltas:

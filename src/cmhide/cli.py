@@ -104,15 +104,13 @@ def _canon_algo(name: str) -> str:
 
 def _detector_from_json(obj, key: str) -> DetectorSpec:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{key!r} in benchmark spec must be a JSON object, got {obj!r}")
+        raise ConfigError(f"{key!r} must be a JSON object, got {obj!r}")
     algo = _canon_algo(str(obj.get("algo", "greedy")))
     try:
         seed = int(obj.get("seed", 0))
         resolution = float(obj.get("resolution", 1.0))
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"bad seed or resolution in {key!r} of benchmark spec: {obj!r}"
-        ) from None
+        raise ConfigError(f"bad seed or resolution in {key!r}: {obj!r}") from None
     return DetectorSpec(algo, seed=seed, resolution=resolution)
 
 
@@ -261,18 +259,18 @@ def _cmd_hide(args) -> int:
     return 0
 
 
-def _experiment_from_json(obj: dict, jobs: int, seed: int | None) -> tuple[Graph, ExperimentSpec]:
+def _experiment_from_json(obj) -> tuple[Graph, ExperimentSpec]:
     if not isinstance(obj, dict):
-        raise ConfigError("benchmark spec must be a JSON object")
+        raise ConfigError("not a JSON object")
     try:
         graph_ref = obj["graph"]
     except KeyError:
-        raise ConfigError("benchmark spec is missing the 'graph' key") from None
+        raise ConfigError("missing the 'graph' key") from None
     g = _load_graph(str(graph_ref))
     preset = load_preset(str(obj["preset"])) if obj.get("preset") else None
     config = preset.config() if preset else HidingConfig()
     if "config" in obj:
-        config = _override_config(config, obj["config"], source="spec config")
+        config = _override_config(config, obj["config"], source="config")
     mu_default = preset.mu_plus_one if preset else False
     kwargs = {}
     for key, cast in (
@@ -289,21 +287,25 @@ def _experiment_from_json(obj: dict, jobs: int, seed: int | None) -> tuple[Graph
             try:
                 kwargs[key] = cast(obj[key])
             except (TypeError, ValueError):
-                raise ConfigError(f"bad {key!r} in benchmark spec: {obj[key]!r}") from None
+                raise ConfigError(f"bad {key!r}: {obj[key]!r}") from None
     if "detector" in obj:
         kwargs["detector"] = _detector_from_json(obj["detector"], "detector")
     if "eval_detector" in obj and obj["eval_detector"] is not None:
         kwargs["eval_detector"] = _detector_from_json(obj["eval_detector"], "eval_detector")
     kwargs["mu_plus_one"] = bool(obj.get("mu_plus_one", mu_default))
-    if seed is not None:
-        kwargs["seed"] = seed
-    return g, ExperimentSpec(config=config, jobs=jobs, **kwargs)
+    return g, ExperimentSpec(config=config, **kwargs)
 
 
 def _cmd_benchmark(args) -> int:
     obj = _read_json(args.spec, "spec file")
-    g, spec = _experiment_from_json(obj, jobs=args.jobs, seed=args.seed)
-    report = run_experiment(g, spec)
+    try:
+        g, spec = _experiment_from_json(obj)
+    except CmhideError as exc:  # the spec may name other files; say which one is at fault
+        raise ConfigError(f"benchmark spec {args.spec!r}: {exc}") from None
+    overrides = {"jobs": args.jobs}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    report = run_experiment(g, replace(spec, **overrides))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", "utf-8")

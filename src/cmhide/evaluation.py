@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Sequence
 
@@ -84,10 +83,14 @@ def f1_score(success_rate: float, nmi_value: float) -> float:
     return 2.0 * success_rate * nmi_value / s
 
 
-def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
-    """Flip budget from the mean-degree-per-edge unit mu = m/n, at least 1."""
+def _check_budget_factor(factor: float) -> None:
     if not 0 < factor < math.inf:
         raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
+
+
+def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
+    """Flip budget from the mean-degree-per-edge unit mu = m/n, at least 1."""
+    _check_budget_factor(factor)
     mu = g.m / g.n + (1.0 if mu_plus_one else 0.0)
     return max(1, math.floor(mu * factor))
 
@@ -181,6 +184,10 @@ class ExperimentSpec:
             raise ConfigError(f"unknown normalisation {self.nmi_variant!r}")
         if self.max_targets < 1:
             raise ConfigError("max_targets must be at least 1")
+        for tau in self.taus:
+            replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
+        for factor in self.beta_factors:
+            _check_budget_factor(factor)
 
     @property
     def effective_eval_detector(self) -> DetectorSpec:
@@ -232,7 +239,9 @@ def attack(
     """Run one method of ALL_METHODS against node u.
 
     The gradient methods search with `hide` (`gradient_projected` with
-    exhaust_budget on) and use `scores` when given; the baselines ignore it.
+    exhaust_budget on), the others with `run_baseline`. `scores`, the
+    structural scores of g, spares both their own pass: `hide` takes its
+    targets from them and `centrality` ranks by their raw betweenness.
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; available: {', '.join(ALL_METHODS)}")
@@ -240,7 +249,9 @@ def attack(
         if method == "gradient_projected":
             config = replace(config, exhaust_budget=True)
         return hide(g, u, detector, config, seed=seed, scores=scores, partition=partition)
-    return run_baseline(method, g, u, detector, config, seed=seed, partition=partition)
+    return run_baseline(
+        method, g, u, detector, config, seed=seed, partition=partition, scores=scores
+    )
 
 
 def _counterparts(outcome: HidingOutcome) -> tuple[int, ...]:
@@ -250,23 +261,38 @@ def _counterparts(outcome: HidingOutcome) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _run_cell(args) -> list[TargetRecord]:
-    (g, spec, run, tau, beta_factor) = args
+@dataclass(frozen=True)
+class _Invariants:
+    """What every cell of one experiment computes alike from the input graph."""
+
+    part_attack: Partition
+    part_eval: Partition
+    labels_before: np.ndarray
+    scores: StructuralScores
+
+
+def _invariants(g: Graph, spec: ExperimentSpec) -> _Invariants:
+    part_attack = detect(g, spec.detector)
+    eval_det = spec.effective_eval_detector
+    part_eval = part_attack if eval_det == spec.detector else detect(g, eval_det)
+    return _Invariants(
+        part_attack=part_attack,
+        part_eval=part_eval,
+        labels_before=part_eval.membership(g.n),
+        scores=structural_scores(g, part_attack, spec.config.weights),
+    )
+
+
+def _run_cell(
+    g: Graph, spec: ExperimentSpec, inv: _Invariants, run: int, tau: float,
+    beta_factor: float,
+) -> list[TargetRecord]:
     beta = budget_for(g, beta_factor, spec.mu_plus_one)
     cell_config = replace(spec.config, tau=tau, beta=beta)
-    attack_det = spec.detector
     eval_det = spec.effective_eval_detector
-    part_attack = detect(g, attack_det)
-    same_detector = eval_det == attack_det
-    part_eval = part_attack if same_detector else detect(g, eval_det)
-    labels_before = part_eval.membership(g.n)
-    scores = (
-        None
-        if cell_config.complement_targets
-        else structural_scores(g, part_attack, cell_config.weights)
-    )
+    same_detector = eval_det == spec.detector
     targets = sample_targets(
-        part_attack, derive_seed(spec.seed, "targets", run),
+        inv.part_attack, derive_seed(spec.seed, "targets", run),
         fractions=spec.fractions, cap=spec.max_targets,
     )
     records: list[TargetRecord] = []
@@ -277,16 +303,18 @@ def _run_cell(args) -> list[TargetRecord]:
             )
             t0 = time.perf_counter()
             outcome = attack(
-                method, g, u, attack_det, cell_config, seed, part_attack, scores
+                method, g, u, spec.detector, cell_config, seed, inv.part_attack, inv.scores
             )
             wall = time.perf_counter() - t0
             if same_detector:
                 part_eval_after = outcome.partition
+            elif outcome.graph is g:  # nothing rewired
+                part_eval_after = inv.part_eval
             else:
                 part_eval_after = detect(outcome.graph, eval_det)
-            sim_eval = _dice_of(part_eval, part_eval_after, u)
+            sim_eval = _dice_of(inv.part_eval, part_eval_after, u)
             nmi_val = nmi(
-                labels_before, part_eval_after.membership(g.n), spec.nmi_variant
+                inv.labels_before, part_eval_after.membership(g.n), spec.nmi_variant
             )
             records.append(
                 TargetRecord(
@@ -374,20 +402,43 @@ def summarise(records: Sequence[TargetRecord], g: Graph, runs: int) -> list[Summ
     return rows
 
 
+# A worker's copy of the (graph, spec, invariants) its cells share, set once
+# per process by the pool initializer.
+_shared: tuple[Graph, ExperimentSpec, _Invariants] | None = None
+
+
+def _share(g: Graph, spec: ExperimentSpec, inv: _Invariants) -> None:
+    global _shared
+    _shared = (g, spec, inv)
+
+
+def _run_shared_cell(cell: tuple[int, float, float]) -> list[TargetRecord]:
+    return _run_cell(*_shared, *cell)
+
+
 def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
-    """Execute the full benchmark grid, optionally across worker processes."""
+    """Execute the full benchmark grid, optionally across worker processes.
+
+    The partitions and structural scores of g are computed once here and
+    shared by every cell; worker processes receive them once, at start-up.
+    """
     t0 = time.perf_counter()
-    tasks = [
-        (g, spec, run, tau, beta_factor)
+    inv = _invariants(g, spec)
+    cells = [
+        (run, tau, beta_factor)
         for run in range(spec.runs)
         for tau in spec.taus
         for beta_factor in spec.beta_factors
     ]
-    if spec.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            chunks = list(pool.map(_run_cell, tasks))
+    if spec.jobs > 1 and len(cells) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # spares serial runs the import
+
+        with ProcessPoolExecutor(
+            max_workers=spec.jobs, initializer=_share, initargs=(g, spec, inv)
+        ) as pool:
+            chunks = list(pool.map(_run_shared_cell, cells))
     else:
-        chunks = [_run_cell(t) for t in tasks]
+        chunks = [_run_cell(g, spec, inv, *cell) for cell in cells]
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.method, r.tau, r.beta_factor, r.run, r.target))
     summary = summarise(records, g, spec.runs)

@@ -162,11 +162,15 @@ def _check_weights(weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructuralScores:
-    """Rank-normalised property scores and their weighted combination."""
+    """Rank-normalised property scores and their weighted combination.
+
+    `raw` keeps the unnormalised property values the ranks were taken from.
+    """
 
     properties: dict[str, np.ndarray]
     weights: np.ndarray
     combined: np.ndarray
+    raw: dict[str, np.ndarray]
 
 
 def structural_scores(
@@ -191,7 +195,7 @@ def structural_scores(
             score = np.zeros(n)
         normalised[name] = score
         combined += w[i] * score
-    return StructuralScores(properties=normalised, weights=w, combined=combined)
+    return StructuralScores(properties=normalised, weights=w, combined=combined, raw=raw)
 
 
 def promising_actions(

@@ -1,16 +1,23 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from cmhide import (
     ConfigError,
+    EdgeDelta,
     HidingConfig,
     Partition,
     SingletonCommunityError,
     apply_delta,
     detect,
     run_baseline,
+    structural_scores,
 )
+from cmhide import baselines
 from cmhide.graph import Graph
 from cmhide.scoring import betweenness
+from conftest import random_graph
 
 CFG = HidingConfig(tau=0.5, beta=3)
 
@@ -159,6 +166,61 @@ def test_degree_walks_down_the_degree_ranking(greedy):
     )
     # c (degree 3) first, then l1 wins the degree-2 tie by id
     assert labels(g, outcome.delta.toggled) == ["c", "l1"]
+
+
+def stepwise_degree(g: Graph, u: int, beta: int) -> list[int]:
+    """The degree baseline as a loop: re-rank on the rewired graph after every toggle.
+
+    Returns the picks in order, so the picks under a smaller budget are a prefix.
+    """
+    view = g
+    toggles: list[int] = []
+    for _ in range(beta):
+        remaining = [v for v in range(g.n) if v != u and v not in toggles]
+        if not remaining:
+            break
+        v = min(remaining, key=lambda x: (-view.degree(x), x))
+        toggles.append(v)
+        view = apply_delta(view, EdgeDelta(u, frozenset((v,))))
+    return toggles
+
+
+def candidate_random(g: Graph, u: int, beta: int, seed: int) -> frozenset[int]:
+    """The random baseline drawing indices into an explicit array of the other nodes."""
+    rng = np.random.default_rng(seed)
+    candidates = np.array([v for v in range(g.n) if v != u])
+    toggles: set[int] = set()
+    for idx in rng.integers(candidates.size, size=beta):
+        toggles.symmetric_difference_update((int(candidates[idx]),))
+    return frozenset(toggles)
+
+
+def test_degree_and_random_plans_match_their_loops(kar):
+    graphs = [kar, random_graph(12, 0.15, 1), random_graph(20, 0.1, 2), random_graph(30, 0.06, 3)]
+    assert all(any(g.degree(v) == 0 for v in range(g.n)) for g in graphs[1:])
+    for g in graphs:
+        for u in range(g.n):
+            picks = stepwise_degree(g, u, g.n)
+            for beta in range(1, g.n + 1):
+                (degree,) = baselines._degree(g, u, frozenset(), beta, 0, None)
+                assert degree == EdgeDelta(u, frozenset(picks[:beta])), (g, u, beta)
+                for seed in (0, 1, 2):
+                    (random,) = baselines._random(g, u, frozenset(), beta, seed, None)
+                    assert random == EdgeDelta(u, candidate_random(g, u, beta, seed))
+
+
+def test_centrality_ranks_by_the_betweenness_in_scores(kar, kar_partition, greedy, monkeypatch):
+    u = kar.id_of("9")
+    computed = run_baseline("centrality", kar, u, greedy, CFG)
+    scores = structural_scores(kar, kar_partition)
+    monkeypatch.setattr(baselines, "betweenness", None)  # given scores need no pass
+    given = run_baseline("centrality", kar, u, greedy, CFG, scores=scores)
+    assert given == computed
+    by_id = dataclasses.replace(
+        scores, raw=dict(scores.raw, betweenness=np.arange(kar.n, dtype=float))
+    )
+    last_ids = run_baseline("centrality", kar, u, greedy, CFG, scores=by_id)
+    assert sorted(last_ids.delta.toggled) == [31, 32, 33]
 
 
 def test_centrality_uses_betweenness_of_original_graph(kar, greedy):

@@ -290,6 +290,36 @@ BAD_INPUTS = {
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "beta_factors": ["nan"]}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
+    "spec not an object": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, ["kar"]), "--out", str(tmp / "out"),
+    ),
+    "spec graph missing": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"runs": 1}), "--out", str(tmp / "out"),
+    ),
+    "spec graph not found": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": str(tmp / "missing.txt")}),
+        "--out", str(tmp / "out"),
+    ),
+    "spec method unknown": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "methods": ["strongest"]}),
+        "--out", str(tmp / "out"),
+    ),
+    "spec runs zero": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "runs": 0}),
+        "--out", str(tmp / "out"),
+    ),
+    "spec tau out of range": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "taus": [1.5]}),
+        "--out", str(tmp / "out"),
+    ),
+    "spec config value": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"tau": "x"}}),
+        "--out", str(tmp / "out"),
+    ),
+    "spec eval detector unknown": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "eval_detector": {"algo": "zz"}}),
+        "--out", str(tmp / "out"),
+    ),
 }
 
 
@@ -309,6 +339,8 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
         assert repr(argv[argv.index("--weights") + 1]) in err
     if case in UNREADABLE_FILES:  # and names the file
         assert str(tmp_path) in err
+    if "--spec" in argv:  # a spec may name other files; the error names the spec
+        assert repr(argv[argv.index("--spec") + 1]) in err
 
 
 def test_loader_notes_dropped_lines(capsys, tmp_path):

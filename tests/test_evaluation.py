@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cmhide
 from cmhide import (
     ALL_METHODS,
     ConfigError,
@@ -30,6 +33,7 @@ from cmhide.evaluation import (
     write_records_csv,
     write_summary_csv,
 )
+from cmhide import baselines, detectors, evaluation, gradient, scoring
 from cmhide.graph import Graph
 
 VARIANTS = ("arithmetic", "geometric", "min", "max")
@@ -202,6 +206,12 @@ def test_experiment_spec_validation():
         ExperimentSpec(nmi_variant="harmonic")
     with pytest.raises(ConfigError):
         ExperimentSpec(max_targets=0)
+    for taus in ((1.0,), (0.5, float("nan"))):
+        with pytest.raises(ConfigError, match="tau"):
+            ExperimentSpec(taus=taus)
+    for factors in ((0.0,), (1.0, float("inf"))):
+        with pytest.raises(ConfigError, match="budget factor"):
+            ExperimentSpec(beta_factors=factors)
     spec = ExperimentSpec(detector=DetectorSpec("greedy"))
     assert spec.effective_eval_detector == spec.detector
     louvain = ExperimentSpec(eval_detector=DetectorSpec("louvain"))
@@ -240,6 +250,54 @@ def test_experiment_is_deterministic_across_jobs(cliques, cliques_report):
     parallel = run_experiment(cliques, replace(spec, jobs=2))
     strip = lambda recs: [replace(r, wall_seconds=0.0) for r in recs]
     assert strip(parallel.records) == strip(report.records)
+
+
+@pytest.mark.parametrize("eval_detector", [None, DetectorSpec("louvain", seed=3)])
+def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detector):
+    betweenness_calls = []
+    unperturbed_detects = []
+
+    def counted_betweenness(g):
+        betweenness_calls.append(g)
+        return scoring_betweenness(g)
+
+    def counted_detect(g, spec):
+        if g is kar:
+            unperturbed_detects.append(spec.name)
+        return detectors.detect(g, spec)
+
+    scoring_betweenness = scoring.betweenness
+    for module in (scoring, baselines):
+        monkeypatch.setattr(module, "betweenness", counted_betweenness)
+    for module in (evaluation, baselines, gradient):
+        monkeypatch.setattr(module, "detect", counted_detect)
+    spec = ExperimentSpec(
+        taus=(0.3, 0.5), beta_factors=(0.5, 1.0), runs=2, seed=1, max_targets=2,
+        detector=DetectorSpec("greedy"), eval_detector=eval_detector,
+        config=get_preset("kar").config(),
+    )
+    report = run_experiment(kar, spec)
+    assert {r.method for r in report.records} == set(ALL_METHODS)
+    assert {(r.run, r.tau, r.beta_factor) for r in report.records} == {
+        (run, tau, bf) for run in (0, 1) for tau in (0.3, 0.5) for bf in (0.5, 1.0)
+    }
+    assert betweenness_calls == [kar]
+    expected = ["greedy"] if eval_detector is None else ["greedy", "louvain"]
+    assert sorted(unperturbed_detects) == expected
+
+
+def test_import_leaves_process_pools_unloaded():
+    # only run_experiment with jobs > 1 needs them
+    code = (
+        "import sys, cmhide; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = str(Path(cmhide.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_summary_csv_uses_pinned_columns(cliques, cliques_report):
