@@ -42,6 +42,13 @@ _ALGO_CHOICES = DETECTOR_NAMES + tuple(_ALGO_ALIASES)
 _CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig))
 
 
+def _integer(value) -> int:
+    """An integer field of a JSON file; int() alone would truncate 1.9 to 1."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def _seed_default(unset: int | None = 0) -> int | None:
     """The CMH_SEED environment variable as an integer, `unset` without it."""
     raw = os.environ.get("CMH_SEED")
@@ -107,7 +114,7 @@ def _detector_from_json(obj, key: str) -> DetectorSpec:
         raise ConfigError(f"{key!r} must be a JSON object, got {obj!r}")
     algo = _canon_algo(str(obj.get("algo", "greedy")))
     try:
-        seed = int(obj.get("seed", 0))
+        seed = _integer(obj.get("seed", 0))
         resolution = float(obj.get("resolution", 1.0))
     except (TypeError, ValueError):
         raise ConfigError(f"bad seed or resolution in {key!r}: {obj!r}") from None
@@ -277,11 +284,11 @@ def _experiment_from_json(obj) -> tuple[Graph, ExperimentSpec]:
         ("methods", lambda v: tuple(str(x) for x in v)),
         ("taus", lambda v: tuple(float(x) for x in v)),
         ("beta_factors", lambda v: tuple(float(x) for x in v)),
-        ("runs", int),
-        ("seed", int),
+        ("runs", _integer),
+        ("seed", _integer),
         ("nmi_variant", str),
         ("fractions", lambda v: tuple(float(x) for x in v)),
-        ("max_targets", int),
+        ("max_targets", _integer),
     ):
         if key in obj:
             try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Sequence
@@ -176,6 +177,10 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"unknown method {m!r}; available: {', '.join(ALL_METHODS)}"
                 )
+        for name in ("runs", "seed", "max_targets", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         if self.jobs < 1:
@@ -188,6 +193,10 @@ class ExperimentSpec:
             replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
         for factor in self.beta_factors:
             _check_budget_factor(factor)
+        if not self.fractions or not all(0.0 < f <= 1.0 for f in self.fractions):
+            raise ConfigError(
+                f"fractions must be one or more values in (0, 1], got {self.fractions!r}"
+            )
 
     @property
     def effective_eval_detector(self) -> DetectorSpec:

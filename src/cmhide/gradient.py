@@ -11,6 +11,7 @@ is spent.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
@@ -53,6 +54,8 @@ class HidingConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             parts = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in parts if isinstance(x, float)):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import io
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from itertools import chain
+from typing import IO, Collection, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -53,10 +54,11 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Each node's row is the sorted tuple of its neighbours; every read goes
-    through the rows.
+    through the rows. The array kernels read the same rows compressed (see
+    csr), built on first use and kept in the `_csr` slot.
     """
 
-    __slots__ = ("n", "m", "_adj", "_labels", "_ids")
+    __slots__ = ("n", "m", "_adj", "_labels", "_ids", "_csr")
 
     def __init__(self, labelled_edges: Iterable[tuple[str, str]], node_labels: Iterable[str] = ()):
         ids: dict[str, int] = {}
@@ -69,6 +71,16 @@ class Graph:
             if ia == ib:
                 raise ValueError(f"self loop on node {a!r}")
             pairs.add((ia, ib) if ia < ib else (ib, ia))
+        self._set_rows(ids, pairs)
+
+    @classmethod
+    def _from_id_pairs(cls, ids: dict[str, int], pairs: Collection[tuple[int, int]]) -> Graph:
+        """A graph from labels already mapped to ids and distinct non-loop id pairs."""
+        g = cls.__new__(cls)
+        g._set_rows(ids, pairs)
+        return g
+
+    def _set_rows(self, ids: dict[str, int], pairs: Collection[tuple[int, int]]) -> None:
         self.n = len(ids)
         self.m = len(pairs)
         self._labels = tuple(ids)  # insertion order == id order
@@ -92,6 +104,20 @@ class Graph:
 
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, row in enumerate(self._adj) for v in row if u < v)
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only compressed rows: v's neighbours are indices[indptr[v]:indptr[v + 1]]."""
+        try:
+            return self._csr
+        except AttributeError:
+            pass
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in self._adj], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1]))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self._csr = (indptr, indices)
+        return self._csr
 
     def row(self, u: int) -> np.ndarray:
         """Node u's row of the adjacency matrix as a read-only int8 vector."""
@@ -206,9 +232,7 @@ def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, Loa
         source = io.StringIO(source)
     stats = LoadStats()
     ids: dict[str, int] = {}
-    order: list[str] = []
-    pairs: set[tuple[str, str]] = set()
-    edge_list: list[tuple[str, str]] = []
+    pairs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -222,23 +246,20 @@ def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, Loa
                 f"expected two whitespace-separated labels, got {line!r}", lineno
             )
         a, b = parts
-        for lab in (a, b):
-            if lab not in ids:
-                ids[lab] = len(ids)
-                order.append(lab)
-        if a == b:
+        ia = ids.setdefault(a, len(ids))
+        ib = ids.setdefault(b, len(ids))
+        if ia == ib:
             stats.self_loops_dropped += 1
             continue
-        key = (a, b) if ids[a] < ids[b] else (b, a)
+        key = (ia, ib) if ia < ib else (ib, ia)
         if key in pairs:
             stats.duplicate_lines += 1
             continue
         pairs.add(key)
-        edge_list.append(key)
-    if not edge_list:
+    if not pairs:
         raise EdgeListParseError("edge list contains no edges")
-    stats.edges = len(edge_list)
-    return Graph(edge_list, node_labels=order), stats
+    stats.edges = len(pairs)
+    return Graph._from_id_pairs(ids, pairs), stats
 
 
 def load_edge_list(source: Union[IO, str, bytes]) -> Graph:

@@ -47,6 +47,19 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     )
 
 
+def planted_blocks(sizes, p_in, p_out, seed) -> Graph:
+    """Stochastic block model: edge probability p_in within a block, p_out across."""
+    rng = np.random.default_rng(seed)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    n = block.size
+    prob = np.where(block[:, None] == block[None, :], p_in, p_out)
+    a, b = np.nonzero(np.triu(rng.random((n, n)) < prob, k=1))
+    return Graph(
+        [(str(u), str(v)) for u, v in zip(a.tolist(), b.tolist())],
+        node_labels=[str(v) for v in range(n)],
+    )
+
+
 def set_partitions(items):
     """All partitions of a sequence into non-empty blocks."""
     items = list(items)

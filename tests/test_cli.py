@@ -320,6 +320,23 @@ BAD_INPUTS = {
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "eval_detector": {"algo": "zz"}}),
         "--out", str(tmp / "out"),
     ),
+    **{
+        f"spec {name}": lambda tmp, obj=obj: (
+            "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "runs": 1, **obj}),
+            "--out", str(tmp / "out"),
+        )
+        for name, obj in {
+            "runs not integral": {"runs": 1.9},
+            "seed not integral": {"seed": 0.5},
+            "max_targets not integral": {"max_targets": 2.5},
+            "config beta not integral": {"config": {"beta": 2.5}},
+            "config max_iter not integral": {"config": {"max_iter": 2.7}},
+            "config seed not integral": {"config": {"seed": 0.5}},
+            "detector seed not integral": {"detector": {"algo": "louvain", "seed": 1.5}},
+            "fractions nan": {"fractions": ["nan"]},
+            "fractions empty": {"fractions": []},
+        }.items()
+    },
 }
 
 

@@ -10,7 +10,7 @@ from cmhide import DetectorSpec, EdgeDelta, Partition, apply_delta, detect
 from cmhide.detectors import modularity
 from cmhide.graph import Graph
 
-from conftest import graph_from_edges, random_graph, set_partitions
+from conftest import graph_from_edges, planted_blocks, random_graph, set_partitions
 
 
 def brute_modularity(g, partition, resolution=1.0):
@@ -191,18 +191,6 @@ def heap_greedy(g) -> Partition:
     return Partition.from_communities(members.values())
 
 
-def _planted_blocks(sizes, p_in, p_out, seed):
-    rng = np.random.default_rng(seed)
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    n = block.size
-    prob = np.where(block[:, None] == block[None, :], p_in, p_out)
-    a, b = np.nonzero(np.triu(rng.random((n, n)) < prob, k=1))
-    return Graph(
-        [(str(u), str(v)) for u, v in zip(a.tolist(), b.tolist())],
-        node_labels=[str(v) for v in range(n)],
-    )
-
-
 def test_greedy_merges_as_the_full_heap_does_on_fixtures(kar, barbell, cliques, greedy):
     graphs = [kar, barbell, cliques, Graph([], node_labels=[str(v) for v in range(5)])]
     for n in (3, 4, 5, 8, 13):
@@ -212,7 +200,7 @@ def test_greedy_merges_as_the_full_heap_does_on_fixtures(kar, barbell, cliques, 
         graphs.append(graph_from_edges([(0, v) for v in range(1, n)]))
     for seed, (n, p) in enumerate(itertools.product((6, 20, 60), (0.02, 0.08, 0.2, 0.5))):
         graphs.append(random_graph(n, p, seed))  # isolated nodes, several components
-    graphs.append(_planted_blocks([75, 75, 75, 75], 0.12, 0.01, seed=3))
+    graphs.append(planted_blocks([75, 75, 75, 75], 0.12, 0.01, seed=3))
     for g in graphs:
         assert detect(g, greedy) == heap_greedy(g), g
 

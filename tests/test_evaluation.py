@@ -212,6 +212,12 @@ def test_experiment_spec_validation():
     for factors in ((0.0,), (1.0, float("inf"))):
         with pytest.raises(ConfigError, match="budget factor"):
             ExperimentSpec(beta_factors=factors)
+    for name in ("runs", "seed", "max_targets", "jobs"):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ExperimentSpec(**{name: 1.5})
+    for fractions in ((), (float("nan"),), (0.0,), (0.5, 1.5)):
+        with pytest.raises(ConfigError, match="fractions"):
+            ExperimentSpec(fractions=fractions)
     spec = ExperimentSpec(detector=DetectorSpec("greedy"))
     assert spec.effective_eval_detector == spec.detector
     louvain = ExperimentSpec(eval_detector=DetectorSpec("louvain"))

@@ -175,6 +175,10 @@ def test_hiding_config_rejects_bad_knobs():
         dict(lam=float("inf")),
         dict(q=float("inf")),
         dict(weights=(float("nan"), 0.0, 0.0, 1.0)),
+        dict(beta=2.5),
+        dict(max_iter=2.7),
+        dict(seed=0.5),
+        dict(max_iter=3.0),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

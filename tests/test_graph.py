@@ -64,6 +64,20 @@ def test_labels_keep_first_appearance_order():
         g.id_of("missing")
 
 
+def test_loader_builds_the_graph_the_constructor_does():
+    g = load_edge_list("c a\na b\nb a\nd d\nb c\n")
+    expected = Graph([("c", "a"), ("a", "b"), ("b", "c")], node_labels=["c", "a", "b", "d"])
+    assert g == expected and g.m == expected.m == 3
+
+
+def test_csr_lists_the_rows_once_read_only(kar):
+    indptr, indices = kar.csr()
+    assert kar.csr()[0] is indptr and kar.csr()[1] is indices
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    for v in range(kar.n):
+        assert tuple(indices[indptr[v]:indptr[v + 1]].tolist()) == kar.neighbors(v)
+
+
 def label_edges(g):
     return {frozenset((g.label_of(a), g.label_of(b))) for a, b in g.edges()}
 
@@ -182,6 +196,7 @@ def test_overlay_reads_like_a_rebuilt_graph(kar, name):
         assert any(g.degree(v) == 0 for g in bases for v in range(g.n))
     repeats = 0
     for base in bases:
+        base.csr()  # overlays must not reuse the base's compressed rows
         for _ in range(24):
             stack = _stacked_deltas(base, rng)
             repeats += len(set(stack)) < len(stack)
@@ -197,6 +212,8 @@ def test_overlay_reads_like_a_rebuilt_graph(kar, name):
             assert view == rebuilt and rebuilt == view
             assert view.m == rebuilt.m == len(edges)
             assert view.edges() == rebuilt.edges() == edges
+            for got, want in zip(view.csr(), rebuilt.csr()):
+                assert np.array_equal(got, want)
             for v in range(base.n):
                 assert view.neighbors(v) == rebuilt.neighbors(v)
                 assert view.degree(v) == rebuilt.degree(v)

@@ -16,13 +16,14 @@ from cmhide import (
 )
 from cmhide.graph import Graph
 from cmhide.scoring import (
+    _BLOCK,
     betweenness,
     community_degrees,
     promising_actions,
     rank_scores,
 )
 
-from conftest import graph_from_edges, random_graph
+from conftest import graph_from_edges, planted_blocks, random_graph
 
 
 def brute_betweenness(g) -> np.ndarray:
@@ -191,6 +192,22 @@ def _kernel_cases():
     cases["kar overlay"] = apply_delta(
         cases["kar"], EdgeDelta(0, frozenset({9, 26, 33, 1, 2}))
     )
+    # Pull levels run once the frontier has more arcs than the unseen
+    # nodes: the middle levels of a planted graph, level 1 of K_12 (which
+    # is every other node) and the hub seen from a leaf of a star.
+    cases["planted n=300"] = planted_blocks([75, 75, 75, 75], 0.12, 0.01, seed=5)
+    cases["K_12"] = graph_from_edges(itertools.combinations(range(12), 2))
+    cases["star n=40"] = graph_from_edges([(0, v) for v in range(1, 40)])
+    # a dense component, a path, an edge and isolated nodes: pull levels
+    # scan the nodes no source in the block can reach
+    dense = sorted(random_graph(30, 0.3, 4).edges())
+    cases["components"] = Graph(
+        [(str(a), str(b)) for a, b in dense + [(30, 31), (31, 32), (33, 34)]],
+        node_labels=[str(v) for v in range(38)],
+    )
+    # the last block of sources is short, or the only one
+    cases["n below the block"] = random_graph(_BLOCK - 3, 0.4, 1)
+    cases["n not a block multiple"] = random_graph(2 * _BLOCK + 5, 0.15, 2)
     return cases
 
 
