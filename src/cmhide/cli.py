@@ -34,19 +34,16 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .gradient import HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
 from .presets import PRESET_NAMES, load_preset
+from .schema import from_json, load_json, read_text
 from .scoring import DEFAULT_WEIGHTS, pagerank, structural_scores
 
-_ALGO_ALIASES = {"labelprop": "label_propagation"}
+_ALGO_ALIASES = {"labelprop": "label_propagation"}  # DetectorSpec rejects unknown names
 _ALGO_CHOICES = DETECTOR_NAMES + tuple(_ALGO_ALIASES)
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig))
 
-
-def _integer(value) -> int:
-    """An integer field of a JSON file; int() alone would truncate 1.9 to 1."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+# a spec's `jobs` is left to --jobs
+_SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.name != "jobs")}
 
 
 def _seed_default(unset: int | None = 0) -> int | None:
@@ -60,31 +57,10 @@ def _seed_default(unset: int | None = 0) -> int | None:
         raise ConfigError(f"CMH_SEED must be an integer, got {raw!r}") from None
 
 
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of a file named on the command line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"{what} {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
-        ) from None
-
-
-def _read_json(path: str, what: str):
-    text = _read_text(path, what)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from None
-
-
 def _load_graph(path: str) -> Graph:
     if os.path.exists(path):
         try:
-            g, stats = load_edge_list_with_stats(_read_text(path, "graph file"))
+            g, stats = load_edge_list_with_stats(read_text(path, "graph file"))
         except EdgeListParseError as exc:
             raise ConfigError(f"graph file {path!r}: {exc}") from None
         notes = []
@@ -100,25 +76,12 @@ def _load_graph(path: str) -> Graph:
     raise ConfigError(f"graph file {path!r} not found (and not a fixture name)")
 
 
-def _canon_algo(name: str) -> str:
-    name = _ALGO_ALIASES.get(name, name)
-    if name not in DETECTOR_NAMES:
-        raise ConfigError(
-            f"unknown detector {name!r}; available: {', '.join(DETECTOR_NAMES)}"
-        )
-    return name
+def _detector_from_json(value, key: str) -> DetectorSpec:
+    def build(obj: dict) -> DetectorSpec:
+        algo = str(obj.pop("algo", "greedy"))
+        return DetectorSpec(_ALGO_ALIASES.get(algo, algo), **obj)
 
-
-def _detector_from_json(obj, key: str) -> DetectorSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {obj!r}")
-    algo = _canon_algo(str(obj.get("algo", "greedy")))
-    try:
-        seed = _integer(obj.get("seed", 0))
-        resolution = float(obj.get("resolution", 1.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad seed or resolution in {key!r}: {obj!r}") from None
-    return DetectorSpec(algo, seed=seed, resolution=resolution)
+    return from_json(value, "detector", repr(key), build, ("algo", "seed", "resolution"))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -139,21 +102,19 @@ def _partition_json(algo: str, seed: int, g: Graph, part: Partition) -> str:
 
 
 def _partition_from_json(path: str, g: Graph) -> Partition:
-    obj = _read_json(path, "partition file")
-    try:
-        communities = obj["communities"]
-    except (TypeError, KeyError):
-        raise ConfigError(f"{path!r} is not a partition file") from None
-    try:
-        part = Partition.from_communities(
-            frozenset(g.id_of(lab) for lab in comm) for comm in communities
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path!r} is not a partition of this graph: {exc.args[0]}") from None
-    uncovered = g.n - sum(len(c) for c in part.communities)
-    if uncovered:
-        raise ConfigError(f"{path!r} leaves {uncovered} node(s) of the graph uncovered")
-    return part
+    def build(obj: dict) -> Partition:
+        try:
+            part = Partition.from_communities(
+                frozenset(g.id_of(lab) for lab in comm) for comm in obj["communities"]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"not a partition of this graph: {exc.args[0]}") from None
+        uncovered = g.n - sum(len(c) for c in part.communities)
+        if uncovered:
+            raise ConfigError(f"leaves {uncovered} node(s) of the graph uncovered")
+        return part
+
+    return load_json(path, "partition", build, ("algo", "seed", "communities"), ("communities",))
 
 
 def _parse_weights(text: str) -> tuple[float, ...]:
@@ -172,8 +133,8 @@ def _config_from_args(args) -> HidingConfig:
     """Flags beat the --config file, which beats the preset, which beats defaults."""
     config = load_preset(args.preset).config() if args.preset else HidingConfig()
     if args.config is not None:
-        obj = _read_json(args.config, "config file")
-        config = _override_config(config, obj, source=args.config)
+        base = config
+        config = load_json(args.config, "config", lambda obj: replace(base, **obj), _CONFIG_KEYS)
     overrides = {"seed": args.seed}
     for key in ("tau", "beta", "eta", "lam", "max_iter"):
         value = getattr(args, key)
@@ -182,22 +143,6 @@ def _config_from_args(args) -> HidingConfig:
     if args.weights is not None:
         overrides["weights"] = _parse_weights(args.weights)
     return replace(config, **overrides)
-
-
-def _override_config(config: HidingConfig, obj: dict, source: str) -> HidingConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{source!r} must contain a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys in {source!r}: {', '.join(sorted(unknown))}")
-    try:
-        if "weights" in obj:
-            obj = dict(obj, weights=tuple(float(w) for w in obj["weights"]))
-        return replace(config, **obj)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value in {source!r}: {exc}") from None
 
 
 def _outcome_json(g: Graph, method: str, outcome: HidingOutcome, config: HidingConfig) -> str:
@@ -234,7 +179,7 @@ def _emit_value_csv(labels: Sequence[str], values: Sequence[float], sink: IO[str
 
 def _cmd_detect(args) -> int:
     g = _load_graph(args.graph)
-    algo = _canon_algo(args.algo)
+    algo = _ALGO_ALIASES.get(args.algo, args.algo)
     part = detect(g, DetectorSpec(algo, seed=args.seed, resolution=args.resolution))
     _write_output(_partition_json(algo, args.seed, g, part), args.out)
     if args.verbose:
@@ -248,9 +193,8 @@ def _cmd_hide(args) -> int:
         u = g.id_of(args.target)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
-    detector = DetectorSpec(
-        _canon_algo(args.algo), seed=args.detector_seed, resolution=args.resolution
-    )
+    algo = _ALGO_ALIASES.get(args.algo, args.algo)
+    detector = DetectorSpec(algo, seed=args.detector_seed, resolution=args.resolution)
     config = _config_from_args(args)
     outcome = attack(args.method, g, u, detector, config, seed=args.seed)
     _write_output(_outcome_json(g, args.method, outcome, config), args.out)
@@ -266,49 +210,25 @@ def _cmd_hide(args) -> int:
     return 0
 
 
-def _experiment_from_json(obj) -> tuple[Graph, ExperimentSpec]:
-    if not isinstance(obj, dict):
-        raise ConfigError("not a JSON object")
-    try:
-        graph_ref = obj["graph"]
-    except KeyError:
-        raise ConfigError("missing the 'graph' key") from None
-    g = _load_graph(str(graph_ref))
-    preset = load_preset(str(obj["preset"])) if obj.get("preset") else None
-    config = preset.config() if preset else HidingConfig()
-    if "config" in obj:
-        config = _override_config(config, obj["config"], source="config")
-    mu_default = preset.mu_plus_one if preset else False
-    kwargs = {}
-    for key, cast in (
-        ("methods", lambda v: tuple(str(x) for x in v)),
-        ("taus", lambda v: tuple(float(x) for x in v)),
-        ("beta_factors", lambda v: tuple(float(x) for x in v)),
-        ("runs", _integer),
-        ("seed", _integer),
-        ("nmi_variant", str),
-        ("fractions", lambda v: tuple(float(x) for x in v)),
-        ("max_targets", _integer),
-    ):
-        if key in obj:
-            try:
-                kwargs[key] = cast(obj[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad {key!r}: {obj[key]!r}") from None
-    if "detector" in obj:
-        kwargs["detector"] = _detector_from_json(obj["detector"], "detector")
-    if "eval_detector" in obj and obj["eval_detector"] is not None:
-        kwargs["eval_detector"] = _detector_from_json(obj["eval_detector"], "eval_detector")
-    kwargs["mu_plus_one"] = bool(obj.get("mu_plus_one", mu_default))
-    return g, ExperimentSpec(config=config, **kwargs)
+def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
+    """A spec's graph and ExperimentSpec; its preset fills what it leaves out."""
+    g = _load_graph(str(obj.pop("graph")))
+    preset = obj.pop("preset", None)
+    preset = load_preset(str(preset)) if preset else None
+    base = preset.config() if preset else HidingConfig()
+    obj["config"] = from_json(
+        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _CONFIG_KEYS
+    )
+    for key in ("detector", "eval_detector"):
+        if obj.get(key) is not None:
+            obj[key] = _detector_from_json(obj[key], key)
+    if preset:
+        obj.setdefault("mu_plus_one", preset.mu_plus_one)
+    return g, ExperimentSpec(**obj)
 
 
 def _cmd_benchmark(args) -> int:
-    obj = _read_json(args.spec, "spec file")
-    try:
-        g, spec = _experiment_from_json(obj)
-    except CmhideError as exc:  # the spec may name other files; say which one is at fault
-        raise ConfigError(f"benchmark spec {args.spec!r}: {exc}") from None
+    g, spec = load_json(args.spec, "spec", _experiment_from_json, _SPEC_KEYS, ("graph",))
     overrides = {"jobs": args.jobs}
     if args.seed is not None:
         overrides["seed"] = args.seed

@@ -8,7 +8,6 @@ two equal partitions compare equal structurally.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Graph
+from .schema import check_types
 
 DETECTOR_NAMES = ("greedy", "louvain", "label_propagation")
 
@@ -31,12 +31,15 @@ class DetectorSpec:
     resolution: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if self.name not in DETECTOR_NAMES:
             raise ConfigError(
                 f"unknown detector {self.name!r}; available: {', '.join(DETECTOR_NAMES)}"
             )
-        if not 0 < self.resolution < math.inf:
-            raise ConfigError(f"resolution must be positive and finite, got {self.resolution!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.resolution <= 0:
+            raise ConfigError(f"resolution must be positive, got {self.resolution!r}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class Partition:
         return self.communities[self.community_of(v)]
 
     def membership(self, n: int) -> np.ndarray:
+        """The community index of each node 0..n-1, which must be the nodes covered."""
         out = np.empty(n, dtype=np.int64)
-        for v in range(n):
-            out[v] = self._index[v]
+        out[np.fromiter(self._index, np.int64, n)] = np.fromiter(self._index.values(), np.int64, n)
         return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import IO, Sequence
@@ -24,6 +23,7 @@ from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
 from .graph import Graph
+from .schema import check_types
 from .scoring import StructuralScores, pagerank, structural_scores
 from .seeding import derive_seed
 
@@ -172,23 +172,17 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        check_types(self)
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(
                     f"unknown method {m!r}; available: {', '.join(ALL_METHODS)}"
                 )
-        for name in ("runs", "seed", "max_targets", "jobs"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.runs < 1:
-            raise ConfigError("runs must be at least 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
+        for name in ("runs", "jobs", "max_targets"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if self.nmi_variant not in NMI_VARIANTS:
             raise ConfigError(f"unknown normalisation {self.nmi_variant!r}")
-        if self.max_targets < 1:
-            raise ConfigError("max_targets must be at least 1")
         for tau in self.taus:
             replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
         for factor in self.beta_factors:
@@ -471,8 +465,6 @@ SUMMARY_COLUMNS = (
     "method", "tau", "beta", "sr_mean", "sr_std", "nmi_mean", "nmi_std",
     "f1_mean", "f1_std", "used_budget_mean", "pagerank_mean", "wall_ms_mean",
 )
-
-WALL_COLUMNS = ("wall_ms_mean",)
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], sink: IO[str]) -> None:

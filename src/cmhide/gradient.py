@@ -11,9 +11,8 @@ is spent.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError, SingletonCommunityError
 from .graph import EdgeDelta, Graph, apply_delta, clamp_add, delta_between
+from .schema import check_types
 from .scoring import DEFAULT_WEIGHTS, StructuralScores, promising_actions, structural_scores
 
 
@@ -52,13 +52,9 @@ class HidingConfig:
     complement_targets: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            parts = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(x) for x in parts if isinstance(x, float)):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        check_types(self)
+        if not all(map(math.isfinite, self.weights)):
+            raise ConfigError(f"weights must be finite, got {self.weights!r}")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError("tau must lie in [0, 1)")
         if self.beta < 1:
@@ -79,6 +75,8 @@ class HidingConfig:
             raise ConfigError("gamma must lie in [0, 1)")
         if self.adam_eps <= 0 or self.norm_eps <= 0:
             raise ConfigError("epsilons must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ to sum to exactly 1 when a config is built from a preset.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .gradient import HidingConfig
+from .schema import check_types, load_json
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,13 @@ class Preset:
     max_iter: int
     raw_weights: tuple[float, float, float, float]
     mu_plus_one: bool = False
+
+    def __post_init__(self):
+        check_types(self)
+        if len(self.raw_weights) != 4:
+            raise ConfigError(f"a preset must list exactly 4 weights, got {self.raw_weights!r}")
+        if not 0 < sum(self.raw_weights) < math.inf:  # NaN or infinite if any weight is
+            raise ConfigError(f"weights must have a positive finite sum, got {self.raw_weights!r}")
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -75,7 +83,11 @@ def get_preset(name: str) -> Preset:
 
 
 def load_preset(ref: str) -> Preset:
-    """Resolve a preset by built-in name, falling back to a JSON file path."""
+    """Resolve a preset by built-in name, falling back to a JSON file path.
+
+    A file holds the keys of a Preset, with `weights` for `raw_weights`;
+    `name` defaults to the file name without its extension.
+    """
     if ref in PRESETS:
         return PRESETS[ref]
     if not os.path.exists(ref):
@@ -83,32 +95,10 @@ def load_preset(ref: str) -> Preset:
             f"unknown preset {ref!r} (not a built-in name or a file); "
             f"available: {', '.join(PRESET_NAMES)}"
         )
-    try:
-        with open(ref, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read preset file {ref!r}: {exc.strerror}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ConfigError(f"preset file {ref!r} is not JSON text: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"preset file {ref!r} must contain a JSON object")
-    missing = {"eta", "lam", "max_iter", "weights"} - set(obj)
-    if missing:
-        raise ConfigError(
-            f"preset file {ref!r} is missing keys: {', '.join(sorted(missing))}"
-        )
-    try:
-        weights = tuple(float(w) for w in obj["weights"])
-        preset = Preset(
-            name=str(obj.get("name", os.path.splitext(os.path.basename(ref))[0])),
-            eta=float(obj["eta"]),
-            lam=float(obj["lam"]),
-            max_iter=int(obj["max_iter"]),
-            raw_weights=weights,
-            mu_plus_one=bool(obj.get("mu_plus_one", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in preset file {ref!r}: {exc}") from None
-    if len(weights) != 4:
-        raise ConfigError(f"preset file {ref!r} must list exactly 4 weights")
-    return preset
+
+    def build(obj: dict) -> Preset:
+        obj.setdefault("name", os.path.splitext(os.path.basename(ref))[0])
+        return Preset(raw_weights=obj.pop("weights"), **obj)
+
+    required = ("eta", "lam", "max_iter", "weights")
+    return load_json(ref, "preset", build, ("name", *required, "mu_plus_one"), required)

@@ -145,7 +145,7 @@ def community_degrees(g: Graph, partition: Partition) -> tuple[np.ndarray, np.nd
     indptr, indices = g.csr()
     deg = np.diff(indptr)
     rows = np.repeat(np.arange(n), deg)
-    label = np.fromiter(map(partition.community_of, range(n)), dtype=np.int64, count=n)
+    label = partition.membership(n)
     intra = np.bincount(rows[label[rows] == label[indices]], minlength=n)
     return intra, deg - intra
 
@@ -174,13 +174,11 @@ def _check_weights(weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructuralScores:
-    """Rank-normalised property scores and their weighted combination.
+    """The weighted combination of the rank-normalised property scores.
 
     `raw` keeps the unnormalised property values the ranks were taken from.
     """
 
-    properties: dict[str, np.ndarray]
-    weights: np.ndarray
     combined: np.ndarray
     raw: dict[str, np.ndarray]
 
@@ -199,15 +197,10 @@ def structural_scores(
     }
     n = g.n
     combined = np.zeros(n)
-    normalised: dict[str, np.ndarray] = {}
     for i, name in enumerate(PROPERTY_NAMES):
         if n > 1:
-            score = (rank_scores(raw[name]) - 1) / (n - 1)
-        else:
-            score = np.zeros(n)
-        normalised[name] = score
-        combined += w[i] * score
-    return StructuralScores(properties=normalised, weights=w, combined=combined, raw=raw)
+            combined += w[i] * ((rank_scores(raw[name]) - 1) / (n - 1))
+    return StructuralScores(combined=combined, raw=raw)
 
 
 def promising_actions(

@@ -239,6 +239,10 @@ BAD_INPUTS = {
         "analyze", "scores", "--graph", "kar",
         "--partition", _json_file(tmp, {"communities": [["0", "1"]]}),
     ),
+    "partition key misspelt": lambda tmp: (
+        "analyze", "scores", "--graph", "kar", "--partition",
+        _json_file(tmp, {"communities": [[str(v) for v in range(34)]], "seeds": 0}),
+    ),
     "preset value": lambda tmp: HIDE_9 + (
         "--preset",
         _json_file(tmp, {"eta": "x", "lam": 1.0, "max_iter": 5, "weights": [1, 1, 1, 1]}),
@@ -335,9 +339,46 @@ BAD_INPUTS = {
             "detector seed not integral": {"detector": {"algo": "louvain", "seed": 1.5}},
             "fractions nan": {"fractions": ["nan"]},
             "fractions empty": {"fractions": []},
+            "mu_plus_one string": {"mu_plus_one": "false"},
+            "key misspelt": {"run": 5},
+            "runs written as float": {"runs": 2.0},
+            "runs written as string": {"runs": "3"},
+            "tau written as string": {"taus": ["0.5"]},
+            "config beta bool": {"config": {"beta": True}},
+            "detector seed negative": {"detector": {"algo": "louvain", "seed": -1}},
+            "detector key misspelt": {"detector": {"algo": "louvain", "sed": 1}},
         }.items()
     },
+    "config exhaust_budget string": lambda tmp: HIDE_9 + (
+        "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"exhaust_budget": "false"}),
+    ),
+    "config beta bool": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"beta": True})),
+    **{
+        f"preset {name}": lambda tmp, obj=obj: HIDE_9 + (
+            "--beta", "3", "--preset", _json_file(
+                tmp, {"eta": 0.079, "lam": 1.71, "max_iter": 120,
+                      "weights": [0.33, 0.20, 0.21, 0.24], **obj},
+            ),
+        )
+        for name, obj in {
+            "max_iter not integral": {"max_iter": 2.7},
+            "mu_plus_one string": {"mu_plus_one": "false"},
+            "weights sum zero": {"weights": [0, 0, 0, 0]},
+        }.items()
+    },
+    "detect seed negative": lambda tmp: (
+        "detect", "--graph", "kar", "--algo", "louvain", "--seed", "-1",
+    ),
+    **{
+        f"hide seed negative {method}": lambda tmp, method=method: HIDE_9 + (
+            "--preset", "kar", "--beta", "3", "--seed", "-1", "--method", method,
+        )
+        for method in ("gradient", "random")
+    },
+    "CMH_SEED negative": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3"),
 }
+
+BAD_ENVIRONMENTS = {"CMH_SEED negative": {"CMH_SEED": "-1"}}
 
 
 UNREADABLE_FILES = {
@@ -347,8 +388,10 @@ UNREADABLE_FILES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
+def test_bad_input_exits_2_with_an_error_line(capsys, monkeypatch, tmp_path, case):
     argv = BAD_INPUTS[case](tmp_path)
+    for name, value in BAD_ENVIRONMENTS.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("cmhide: error:")
@@ -358,6 +401,9 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
         assert str(tmp_path) in err
     if "--spec" in argv:  # a spec may name other files; the error names the spec
         assert repr(argv[argv.index("--spec") + 1]) in err
+    for flag in ("--config", "--preset"):  # as it names a config or preset file
+        if flag in argv and argv[argv.index(flag) + 1].startswith(str(tmp_path)):
+            assert repr(argv[argv.index(flag) + 1]) in err
 
 
 def test_loader_notes_dropped_lines(capsys, tmp_path):

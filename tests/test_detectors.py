@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cmhide import DetectorSpec, EdgeDelta, Partition, apply_delta, detect
+from cmhide import ConfigError, DetectorSpec, EdgeDelta, Partition, apply_delta, detect
 from cmhide.detectors import modularity
 from cmhide.graph import Graph
 
@@ -141,6 +141,14 @@ def test_detector_spec_validation():
     for resolution in (float("nan"), float("inf")):
         with pytest.raises(Exception):
             DetectorSpec("greedy", resolution=resolution)
+    # numpy's generators take no negative seed; greedy ignores it but is held to it too
+    for name in ("louvain", "greedy"):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            DetectorSpec(name, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        DetectorSpec("louvain", seed=True)
+    with pytest.raises(ConfigError, match="resolution must be a number"):
+        DetectorSpec("louvain", resolution="1")
 
 
 def heap_greedy(g) -> Partition:

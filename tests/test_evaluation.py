@@ -215,6 +215,13 @@ def test_experiment_spec_validation():
     for name in ("runs", "seed", "max_targets", "jobs"):
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ExperimentSpec(**{name: 1.5})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ExperimentSpec(**{name: True})
+    for kwargs in (dict(taus=("0.5",)), dict(beta_factors=(True,)), dict(fractions="0.5")):
+        with pytest.raises(ConfigError, match="must be a"):
+            ExperimentSpec(**kwargs)
+    with pytest.raises(ConfigError, match="mu_plus_one must be true or false"):
+        ExperimentSpec(mu_plus_one="false")
     for fractions in ((), (float("nan"),), (0.0,), (0.5, 1.5)):
         with pytest.raises(ConfigError, match="fractions"):
             ExperimentSpec(fractions=fractions)
@@ -222,6 +229,14 @@ def test_experiment_spec_validation():
     assert spec.effective_eval_detector == spec.detector
     louvain = ExperimentSpec(eval_detector=DetectorSpec("louvain"))
     assert louvain.effective_eval_detector == DetectorSpec("louvain")
+
+
+def test_float_fields_store_floats():
+    # attack seeds hash repr(tau) and repr(beta_factor): 1 and 1.0 must run alike
+    spec = ExperimentSpec(taus=[0, 0.5], beta_factors=(1, 2), config=cmhide.HidingConfig(eta=1))
+    assert spec.taus == (0.0, 0.5) and spec.beta_factors == (1.0, 2.0)
+    assert [repr(x) for x in spec.taus + spec.beta_factors] == ["0.0", "0.5", "1.0", "2.0"]
+    assert repr(spec.config.eta) == "1.0"
 
 
 @pytest.fixture(scope="module")

@@ -179,6 +179,11 @@ def test_hiding_config_rejects_bad_knobs():
         dict(max_iter=2.7),
         dict(seed=0.5),
         dict(max_iter=3.0),
+        dict(beta=True),
+        dict(eta="0.1"),
+        dict(exhaust_budget="false"),
+        dict(weights="1,1,1,1"),
+        dict(seed=-1),
     ]
     for kwargs in bad:
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cmhide import ConfigError, get_preset
-from cmhide.presets import PRESET_NAMES, load_preset
+from cmhide.presets import PRESET_NAMES, Preset, load_preset
 
 EXPECTED = {
     "kar": (0.079, 1.71, 120, (0.33, 0.20, 0.21, 0.24), True),
@@ -87,3 +87,16 @@ def test_load_preset_rejects_malformed_files(tmp_path):
     arr.write_text("[1, 2]", "utf-8")
     with pytest.raises(ConfigError, match="JSON object"):
         load_preset(str(arr))
+
+
+def test_preset_rejects_mistyped_fields():
+    good = dict(name="p", eta=0.1, lam=1.0, max_iter=10, raw_weights=(1, 1, 1, 1))
+    assert Preset(**good).raw_weights == (1.0, 1.0, 1.0, 1.0)
+    for bad, message in (
+        (dict(max_iter=2.7), "max_iter must be an integer"),
+        (dict(eta="0.1"), "eta must be a number"),
+        (dict(mu_plus_one="false"), "mu_plus_one must be true or false"),
+        (dict(raw_weights=(0, 0, 0, 0)), "positive finite sum"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            Preset(**{**good, **bad})
