@@ -18,7 +18,7 @@ import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity
+from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity, resolve_seed
 from .graph import EdgeDelta, Graph, apply_delta
 from .scoring import StructuralScores, betweenness
 
@@ -131,14 +131,14 @@ def run_baseline(
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int = 0,
+    seed: int | None = None,
     partition: Partition | None = None,
     scores: StructuralScores | None = None,
 ) -> HidingOutcome:
     """Apply the named baseline's rewiring to node u and score it.
 
-    `scores`, the structural scores of g, spare `centrality` its own
-    betweenness pass.
+    `seed`, config.seed when None, drives `random`. `scores`, the
+    structural scores of g, spare `centrality` its own betweenness pass.
     """
     try:
         plan = _PLANS[name]
@@ -147,6 +147,7 @@ def run_baseline(
             f"unknown baseline {name!r}; available: {', '.join(BASELINE_NAMES)}"
         ) from None
     t_start = time.perf_counter()
+    seed = resolve_seed(seed, config)
     partition, reference, detections = _prepare_target(g, u, detector, partition)
     deltas = plan(g, u, partition.community_members(u), config.beta, seed, scores)
     g2 = g

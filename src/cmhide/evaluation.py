@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -235,16 +235,17 @@ def attack(
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int = 0,
+    seed: int | None = None,
     partition: Partition | None = None,
     scores: StructuralScores | None = None,
 ) -> HidingOutcome:
     """Run one method of ALL_METHODS against node u.
 
     The gradient methods search with `hide` (`gradient_projected` with
-    exhaust_budget on), the others with `run_baseline`. `scores`, the
-    structural scores of g, spares both their own pass: `hide` takes its
-    targets from them and `centrality` ranks by their raw betweenness.
+    exhaust_budget on), the others with `run_baseline`; both take `seed`,
+    or config.seed when it is None. `scores`, the structural scores of g,
+    spares both their own pass: `hide` takes its targets from them and
+    `centrality` ranks by their raw betweenness.
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; available: {', '.join(ALL_METHODS)}")
@@ -481,11 +482,7 @@ def write_summary_csv(rows: Sequence[SummaryRow], sink: IO[str]) -> None:
 
 
 def write_records_csv(records: Sequence[TargetRecord], sink: IO[str]) -> None:
-    cols = (
-        "run", "method", "tau", "beta_factor", "beta", "target", "success",
-        "similarity", "attack_similarity", "used_budget", "nmi",
-        "counterparts", "iterations", "detections", "restarts", "wall_seconds",
-    )
+    cols = [f.name for f in fields(TargetRecord)]
     writer = csv.writer(sink)
     writer.writerow(cols)
     for r in records:

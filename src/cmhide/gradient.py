@@ -1,16 +1,17 @@
 """Gradient-driven search for a small edge rewiring that hides a node.
 
 The perturbation of the target's adjacency row is relaxed to a continuous
-vector, optimised against a smooth loss that pulls the row toward the
-promising-actions target while penalising large changes, and discretised
-back to edge flips after every step. With exhaust_budget set, a projection
-step then keeps applying the most promising flips until the whole budget
-is spent.
+vector, optimised by Adam against a smooth loss that pulls the row toward
+the promising-actions target while penalising large changes, and
+discretised back to edge flips after every step. With exhaust_budget set, a
+projection step then keeps applying the most promising flips until the
+whole budget is spent.
+
+The settings a caller tunes live in HidingConfig; the rest are fixed below.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -20,16 +21,27 @@ import numpy as np
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError, SingletonCommunityError
 from .graph import EdgeDelta, Graph, apply_delta, clamp_add, delta_between
-from .schema import check_types
-from .scoring import DEFAULT_WEIGHTS, StructuralScores, promising_actions, structural_scores
+from .schema import check_types, fits
+from .scoring import (
+    DEFAULT_WEIGHTS, StructuralScores, check_weights, promising_actions, structural_scores,
+)
+
+FLIP = 0.5  # a relaxed entry at or beyond +-FLIP flips its edge
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
+GAMMA = 0.9  # decay of the gradient average the projection slides along
+NORM_EPS = 1e-12  # floor of a norm divided by in the loss gradient
 
 
 @dataclass(frozen=True)
 class HidingConfig:
-    """All knobs of the hiding optimisation.
+    """The settings of one hiding search.
 
     tau is the similarity threshold under which the node counts as hidden,
-    beta the maximum number of edge flips on the target's row.
+    beta the maximum number of edge flips on the target's row. eta is the
+    Adam step rate, lam the weight of the size penalty, max_iter the
+    iteration limit and weights the four property weights of the target
+    vector. seed draws the starting points. exhaust_budget ends the search
+    with project_to_budget.
     """
 
     tau: float = 0.5
@@ -37,24 +49,13 @@ class HidingConfig:
     eta: float = 0.01
     lam: float = 0.1
     max_iter: int = 100
-    q: float = 2.0
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    t_plus: float = 0.5
-    t_minus: float = -0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    norm_eps: float = 1e-12
-    gamma: float = 0.9
     seed: int = 0
     exhaust_budget: bool = False
-    squared_loss: bool = False
-    complement_targets: bool = False
 
     def __post_init__(self):
         check_types(self)
-        if not all(map(math.isfinite, self.weights)):
-            raise ConfigError(f"weights must be finite, got {self.weights!r}")
+        check_weights(self.weights)
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError("tau must lie in [0, 1)")
         if self.beta < 1:
@@ -65,18 +66,17 @@ class HidingConfig:
             raise ConfigError("lam must be non-negative")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.q < 1:
-            raise ConfigError("q must be at least 1")
-        if not self.t_minus < 0 < self.t_plus:
-            raise ConfigError("thresholds must satisfy t_minus < 0 < t_plus")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError("adam decay rates must lie in [0, 1)")
-        if not 0 <= self.gamma < 1:
-            raise ConfigError("gamma must lie in [0, 1)")
-        if self.adam_eps <= 0 or self.norm_eps <= 0:
-            raise ConfigError("epsilons must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
+
+def resolve_seed(seed: int | None, config: HidingConfig) -> int:
+    """`seed`, or config.seed when it is None; a negative or non-integer seed is an error."""
+    if seed is None:
+        return config.seed
+    if not fits(int, seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -111,40 +111,29 @@ def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     return 2.0 * len(sa & sb) / (len(sa) + len(sb))
 
 
-def threshold(p_hat: np.ndarray, t_plus: float = 0.5, t_minus: float = -0.5) -> np.ndarray:
+def threshold(p_hat: np.ndarray) -> np.ndarray:
     """Discretise a relaxed perturbation to {-1, 0, +1} (thresholds inclusive)."""
-    return np.where(p_hat >= t_plus, 1, np.where(p_hat <= t_minus, -1, 0)).astype(np.int8)
+    return np.where(p_hat >= FLIP, 1, np.where(p_hat <= -FLIP, -1, 0)).astype(np.int8)
 
 
-def _q_norm_grad(x: np.ndarray, q: float, eps: float) -> tuple[float, np.ndarray]:
-    ax = np.abs(x)
-    norm = float((ax**q).sum() ** (1.0 / q)) if ax.any() else 0.0
-    grad = np.sign(x) * ax ** (q - 1.0) / max(norm, eps) ** (q - 1.0)
-    return norm, grad
+def _norm(x: np.ndarray) -> float:
+    return float((x * x).sum() ** 0.5)
 
 
-def loss_value(
-    p_hat: np.ndarray,
-    target_vec: np.ndarray,
-    row: np.ndarray,
-    lam: float,
-    q: float = 2.0,
-    squared: bool = False,
-) -> float:
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x over its L2 norm: the gradient of that norm, 0 at x = 0."""
+    return x / max(_norm(x), NORM_EPS)
+
+
+def loss_value(p_hat: np.ndarray, target_vec: np.ndarray, row: np.ndarray, lam: float) -> float:
     """Pull toward the target vector plus a penalty on the perturbation size.
 
-    The penalty is the per-node root mean of |p_hat|^q (the q-norm divided
-    by n^(1/q)); without that normalisation the tuned penalty weights stall
-    the optimiser on small graphs, where a raw-norm penalty above 1 makes
-    the zero perturbation a global minimum.
+    The penalty is the L2 norm of p_hat divided by sqrt(n), the per-node
+    root mean square; without that normalisation the tuned penalty weights
+    stall the optimiser on small graphs, where a raw-norm penalty above 1
+    makes the zero perturbation a global minimum.
     """
-    r = target_vec - row - p_hat
-    nr = float(np.linalg.norm(r, ord=q)) if r.any() else 0.0
-    np_ = float(np.linalg.norm(p_hat, ord=q)) if p_hat.any() else 0.0
-    dist = np_ / p_hat.size ** (1.0 / q)
-    if squared:
-        return nr * nr + lam * dist * dist
-    return nr + lam * dist
+    return _norm(target_vec - row - p_hat) + lam * _norm(p_hat) * p_hat.size ** -0.5
 
 
 def loss_gradient(
@@ -152,20 +141,10 @@ def loss_gradient(
     target_vec: np.ndarray,
     row: np.ndarray,
     lam: float,
-    q: float = 2.0,
-    eps: float = 1e-12,
-    squared: bool = False,
     owner: int | None = None,
 ) -> np.ndarray:
     """Analytic gradient of loss_value with respect to the relaxed perturbation."""
-    r = target_vec - row - p_hat
-    scale = p_hat.size ** (-1.0 / q)
-    nr, gr = _q_norm_grad(r, q, eps)
-    npn, gp = _q_norm_grad(p_hat, q, eps)
-    if squared:
-        g = -2.0 * nr * gr + 2.0 * lam * (npn * scale) * (gp * scale)
-    else:
-        g = -gr + lam * scale * gp
+    g = -_unit(target_vec - row - p_hat) + lam * p_hat.size ** -0.5 * _unit(p_hat)
     if owner is not None:
         g[owner] = 0.0
     return g
@@ -206,18 +185,16 @@ def hide(
     """Search for a hiding rewiring of node u's row within the budget.
 
     With config.exhaust_budget the search ends with project_to_budget,
-    which spends whatever budget is left.
+    which spends whatever budget is left. `seed` draws the starting points
+    in place of config.seed.
     """
     t_start = time.perf_counter()
     n = g.n
+    rng = np.random.default_rng(resolve_seed(seed, config))
     partition, reference, detections = _prepare_target(g, u, detector, partition)
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    if scores is None and not config.complement_targets:
+    if scores is None:
         scores = structural_scores(g, partition, config.weights)
-    target_vec = promising_actions(
-        g, u, partition, scores=scores, weights=config.weights,
-        complement=config.complement_targets,
-    )
+    target_vec = promising_actions(u, partition, scores)
     bits = g.row(u)
     row = bits.astype(float)
     empty = EdgeDelta(u)
@@ -242,7 +219,7 @@ def hide(
     m = np.zeros(n)
     v = np.zeros(n)
     adam_t = 0
-    g_acc = np.zeros(n)  # gamma-discounted gradient sum, kept across restarts
+    g_acc = np.zeros(n)  # GAMMA-discounted gradient sum, kept across restarts
 
     sim = 1.0
     cur_graph = g
@@ -254,18 +231,15 @@ def hide(
 
     while sim > config.tau and iterations < config.max_iter:
         iterations += 1
-        grad = loss_gradient(
-            p_hat, target_vec, row, config.lam, config.q, config.norm_eps,
-            squared=config.squared_loss, owner=u,
-        )
-        g_acc = config.gamma * g_acc + grad
+        grad = loss_gradient(p_hat, target_vec, row, config.lam, owner=u)
+        g_acc = GAMMA * g_acc + grad
         adam_t += 1
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        m_hat = m / (1.0 - config.beta1**adam_t)
-        v_hat = v / (1.0 - config.beta2**adam_t)
-        p_hat = np.tanh(p_hat - config.eta * m_hat / (np.sqrt(v_hat) + config.adam_eps))
-        p = threshold(p_hat, config.t_plus, config.t_minus)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**adam_t)
+        v_hat = v / (1.0 - ADAM_BETA2**adam_t)
+        p_hat = np.tanh(p_hat - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        p = threshold(p_hat)
         new_row = clamp_add(bits, u, p)
         delta = delta_between(u, bits, new_row)
         if delta.size > config.beta:
@@ -288,7 +262,7 @@ def hide(
     if sim > config.tau:
         sim, cur_delta, cur_graph, cur_part = best
     if config.exhaust_budget:
-        g_bar = (1.0 - config.gamma) * g_acc
+        g_bar = (1.0 - GAMMA) * g_acc
         toggled = project_to_budget(bits, u, p_hat, g_bar, cur_delta.toggled, config)
         cur_delta = EdgeDelta(u, toggled)
         sim, cur_graph, cur_part = evaluate(cur_delta)
@@ -332,8 +306,6 @@ def _rounds_to_flip(
     bits: np.ndarray,
     p_hat: np.ndarray,
     step: np.ndarray,
-    t_plus: float,
-    t_minus: float,
     blocked: np.ndarray,
 ) -> np.ndarray:
     """First round k >= 1 at which p_hat - k*step crosses into a bit flip."""
@@ -344,12 +316,12 @@ def _rounds_to_flip(
     with np.errstate(divide="ignore", invalid="ignore"):
         up = add & (step < 0)
         if up.any():
-            k[up] = np.maximum(1.0, np.ceil((t_plus - p_hat[up]) / -step[up]))
+            k[up] = np.maximum(1.0, np.ceil((FLIP - p_hat[up]) / -step[up]))
         down = rem & (step > 0)
         if down.any():
-            k[down] = np.maximum(1.0, np.ceil((p_hat[down] - t_minus) / step[down]))
-    imm_add = add & (step >= 0) & (p_hat - step >= t_plus)
-    imm_rem = rem & (step <= 0) & (p_hat - step <= t_minus)
+            k[down] = np.maximum(1.0, np.ceil((p_hat[down] + FLIP) / step[down]))
+    imm_add = add & (step >= 0) & (p_hat - step >= FLIP)
+    imm_rem = rem & (step <= 0) & (p_hat - step <= -FLIP)
     k[imm_add | imm_rem] = 1.0
     k[blocked] = np.inf
     return k
@@ -389,12 +361,12 @@ def project_to_budget(
 
     if np.any(step):
         while budget_left > 0:
-            k = _rounds_to_flip(bits, p_hat, step, config.t_plus, config.t_minus, blocked_mask())
+            k = _rounds_to_flip(bits, p_hat, step, blocked_mask())
             r = k.min()
             if not np.isfinite(r):
                 break
             p_hat = p_hat - r * step
-            p = threshold(p_hat, config.t_plus, config.t_minus)
+            p = threshold(p_hat)
             row = np.clip(bits + p.astype(np.int64), 0, 1)
             fresh = [
                 v for v in np.flatnonzero(row != bits).tolist()

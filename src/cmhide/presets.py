@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .gradient import HidingConfig
 from .schema import check_types, load_json
+from .scoring import check_weights
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,7 @@ class Preset:
             raise ConfigError(f"a preset must list exactly 4 weights, got {self.raw_weights!r}")
         if not 0 < sum(self.raw_weights) < math.inf:  # NaN or infinite if any weight is
             raise ConfigError(f"weights must have a positive finite sum, got {self.raw_weights!r}")
+        check_weights(self.weights)  # here, so that an error names the preset file
 
     @property
     def weights(self) -> tuple[float, float, float, float]:

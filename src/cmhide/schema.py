@@ -31,7 +31,8 @@ def _field_types(cls: type) -> tuple[tuple[str, type, bool, str], ...]:
     return tuple(rows)
 
 
-def _fits(tp: type, value) -> bool:
+def fits(tp: type, value) -> bool:
+    """Whether `value` may fill a field annotated `tp`."""
     if type(value) is tp:  # spares most checks the slow isinstance on an abstract class
         return True
     # bool is an int, yet no int or float field takes one
@@ -49,10 +50,10 @@ def check_types(obj) -> None:
     for name, tp, listed, must_be in _field_types(type(obj)):
         value = getattr(obj, name)
         if listed:
-            if not isinstance(value, (tuple, list)) or not all(_fits(tp, v) for v in value):
+            if not isinstance(value, (tuple, list)) or not all(fits(tp, v) for v in value):
                 raise ConfigError(f"{name} must be {must_be}, got {value!r}")
             object.__setattr__(obj, name, tuple(map(float, value)) if tp is float else tuple(value))
-        elif not _fits(tp, value):
+        elif not fits(tp, value):
             raise ConfigError(f"{name} must be {must_be}, got {value!r}")
         elif tp is float:
             if not math.isfinite(value):

@@ -9,6 +9,7 @@ nodes outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,16 +160,24 @@ def rank_scores(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _check_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(PROPERTY_NAMES),):
-        raise ConfigError(f"expected {len(PROPERTY_NAMES)} property weights, got shape {w.shape}")
-    if not np.isfinite(w).all():
+def check_weights(weights) -> tuple[float, ...]:
+    """The property weights as floats: 4 finite, non-negative numbers summing to 1.
+
+    Pure Python, since HidingConfig runs it on every construction.
+    """
+    try:
+        w = tuple(map(float, weights))
+    except (TypeError, ValueError):
+        raise ConfigError(f"property weights must be numbers, got {weights!r}") from None
+    if len(w) != len(PROPERTY_NAMES):
+        raise ConfigError(f"expected {len(PROPERTY_NAMES)} property weights, got {len(w)}")
+    if not all(map(math.isfinite, w)):
         raise ConfigError("property weights must be finite")
-    if (w < 0).any():
+    if min(w) < 0:
         raise ConfigError("property weights must be non-negative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"property weights must sum to 1, got {float(w.sum()):g}")
+    total = math.fsum(w)
+    if abs(total - 1.0) > 1e-9:
+        raise ConfigError(f"property weights must sum to 1, got {total:g}")
     return w
 
 
@@ -187,7 +196,7 @@ def structural_scores(
     g: Graph, partition: Partition, weights=DEFAULT_WEIGHTS
 ) -> StructuralScores:
     """Combine the four structural properties into one score per node."""
-    w = _check_weights(weights)
+    w = check_weights(weights)
     intra, inter = community_degrees(g, partition)
     raw = {
         "betweenness": betweenness(g),
@@ -203,28 +212,13 @@ def structural_scores(
     return StructuralScores(combined=combined, raw=raw)
 
 
-def promising_actions(
-    g: Graph,
-    u: int,
-    partition: Partition,
-    scores: StructuralScores | None = None,
-    weights=DEFAULT_WEIGHTS,
-    complement: bool = False,
-) -> np.ndarray:
+def promising_actions(u: int, partition: Partition, scores: StructuralScores) -> np.ndarray:
     """Target connectivity vector for node u in [0, 1]^n.
 
     Inside u's community the entry falls with node importance (prefer
     dropping heavy members); outside it rises with importance (prefer
-    linking to heavy outsiders). `complement=True` ignores importance and
-    targets the plain bitwise complement of u's row instead.
+    linking to heavy outsiders).
     """
-    if complement:
-        bits = g.row(u)
-        tgt = 1.0 - bits.astype(float)
-        tgt[u] = 0.5
-        return tgt
-    if scores is None:
-        scores = structural_scores(g, partition, weights)
     s = scores.combined
     members = partition.community_members(u)
     tgt = (1.0 + s) / 2.0

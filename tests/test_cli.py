@@ -272,6 +272,17 @@ BAD_INPUTS = {
     "config weights nan": lambda tmp: HIDE_9 + (
         "--config", _json_file(tmp, {"weights": [float("nan"), 1, 1, 1]}),
     ),
+    "config weights sum 4": lambda tmp: HIDE_9 + (
+        "--preset", "kar", "--beta", "3", "--method", "random",
+        "--config", _json_file(tmp, {"weights": [1, 1, 1, 1]}),
+    ),
+    "config removed key": lambda tmp: HIDE_9 + (
+        "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"q": 3}),
+    ),
+    "spec config removed key": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"squared_loss": True}}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
     "resolution nan": lambda tmp: ("detect", "--graph", "kar", "--resolution", "nan"),
     "scores weights nan": lambda tmp: (
         "analyze", "scores", "--graph", "kar", "--weights", "nan,1,1,1",
@@ -364,6 +375,7 @@ BAD_INPUTS = {
             "max_iter not integral": {"max_iter": 2.7},
             "mu_plus_one string": {"mu_plus_one": "false"},
             "weights sum zero": {"weights": [0, 0, 0, 0]},
+            "weights negative": {"weights": [-0.1, 0.5, 0.3, 0.3]},
         }.items()
     },
     "detect seed negative": lambda tmp: (
@@ -379,6 +391,9 @@ BAD_INPUTS = {
 }
 
 BAD_ENVIRONMENTS = {"CMH_SEED negative": {"CMH_SEED": "-1"}}
+
+# the unknown key each error line must end with
+UNKNOWN_KEYS = {"config removed key": "q", "spec config removed key": "squared_loss"}
 
 
 UNREADABLE_FILES = {
@@ -404,6 +419,9 @@ def test_bad_input_exits_2_with_an_error_line(capsys, monkeypatch, tmp_path, cas
     for flag in ("--config", "--preset"):  # as it names a config or preset file
         if flag in argv and argv[argv.index(flag) + 1].startswith(str(tmp_path)):
             assert repr(argv[argv.index(flag) + 1]) in err
+    if case in UNKNOWN_KEYS:  # and the key it does not know
+        assert "unknown config keys" in err
+        assert err.rstrip().endswith(f": {UNKNOWN_KEYS[case]}")
 
 
 def test_loader_notes_dropped_lines(capsys, tmp_path):

@@ -408,3 +408,23 @@ def test_records_are_locked_for_every_method(kar, name, preset, overrides, grid)
         assert _discrete_fields(r) == " ".join(fields[:12])
         want = tuple(float(x) for x in fields[12:])
         assert (r.similarity, r.attack_similarity, r.nmi) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_attack_seed_comes_from_config_unless_given(kar, greedy, method):
+    config = get_preset("kar").config(beta=3)
+    u = kar.id_of("9")
+    via_config = evaluation.attack(method, kar, u, greedy, replace(config, seed=5))
+    via_argument = evaluation.attack(method, kar, u, greedy, config, seed=5)
+    assert via_config == via_argument
+    if method == "random":  # the seed is used at all
+        assert via_config != evaluation.attack(method, kar, u, greedy, config)
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, True])
+def test_attack_rejects_a_bad_seed(kar, greedy, seed):
+    config = get_preset("kar").config(beta=3)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        cmhide.hide(kar, 9, greedy, config, seed=seed)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        cmhide.run_baseline("random", kar, 9, greedy, config, seed=seed)

@@ -37,9 +37,6 @@ def test_threshold_is_inclusive():
     p = np.array([0.5, 0.49, 0.3, -0.5, -0.49, -0.6, 0.0, 0.9])
     out = threshold(p)
     assert out.tolist() == [1, 0, 0, -1, 0, -1, 0, 1]
-    # custom thresholds shift both cut points
-    out = threshold(p, t_plus=0.4, t_minus=-0.55)
-    assert out.tolist() == [1, 1, 0, 0, 0, -1, 0, 1]
 
 
 def test_loss_value_closed_forms():
@@ -64,19 +61,18 @@ def test_loss_value_closed_forms():
     )
 
 
-def central_difference(p_hat, target, row, lam, q, squared, h=1e-6):
+def central_difference(p_hat, target, row, lam, h=1e-6):
     fd = np.zeros_like(p_hat)
     for i in range(p_hat.size):
         e = np.zeros_like(p_hat)
         e[i] = h
-        up = loss_value(p_hat + e, target, row, lam, q, squared=squared)
-        dn = loss_value(p_hat - e, target, row, lam, q, squared=squared)
+        up = loss_value(p_hat + e, target, row, lam)
+        dn = loss_value(p_hat - e, target, row, lam)
         fd[i] = (up - dn) / (2 * h)
     return fd
 
 
-@pytest.mark.parametrize("q,squared", [(2.0, False), (3.0, False), (2.0, True)])
-def test_loss_gradient_matches_finite_differences(q, squared):
+def test_loss_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = 10
@@ -84,8 +80,8 @@ def test_loss_gradient_matches_finite_differences(q, squared):
         target = rng.uniform(0, 1, n)
         p_hat = rng.uniform(-0.45, 0.45, n)
         lam = rng.uniform(0.1, 2.0)
-        g = loss_gradient(p_hat, target, row, lam, q, squared=squared)
-        fd = central_difference(p_hat, target, row, lam, q, squared)
+        g = loss_gradient(p_hat, target, row, lam)
+        fd = central_difference(p_hat, target, row, lam)
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-5
 
@@ -162,19 +158,14 @@ def test_hiding_config_rejects_bad_knobs():
         dict(eta=0.0),
         dict(lam=-1.0),
         dict(max_iter=0),
-        dict(q=0.5),
-        dict(t_plus=0.0),
-        dict(t_minus=0.1),
-        dict(beta1=1.0),
-        dict(gamma=1.0),
-        dict(adam_eps=0.0),
-        dict(norm_eps=0.0),
         dict(eta=float("nan")),
         dict(eta=float("inf")),
         dict(lam=float("nan")),
         dict(lam=float("inf")),
-        dict(q=float("inf")),
         dict(weights=(float("nan"), 0.0, 0.0, 1.0)),
+        dict(weights=(1.0, 1.0, 1.0, 1.0)),
+        dict(weights=(0.5, 0.5, 0.5, -0.5)),
+        dict(weights=(0.5, 0.5)),
         dict(beta=2.5),
         dict(max_iter=2.7),
         dict(seed=0.5),

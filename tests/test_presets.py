@@ -97,6 +97,7 @@ def test_preset_rejects_mistyped_fields():
         (dict(eta="0.1"), "eta must be a number"),
         (dict(mu_plus_one="false"), "mu_plus_one must be true or false"),
         (dict(raw_weights=(0, 0, 0, 0)), "positive finite sum"),
+        (dict(raw_weights=(-1, 1, 1, 1)), "non-negative"),
     ):
         with pytest.raises(ConfigError, match=message):
             Preset(**{**good, **bad})

@@ -332,7 +332,7 @@ def test_promising_actions_formula(cliques, greedy):
     part = detect(cliques, greedy)
     u = 0
     scores = structural_scores(cliques, part)
-    tgt = promising_actions(cliques, u, part, scores=scores)
+    tgt = promising_actions(u, part, scores)
     s = scores.combined
     members = part.community_members(u)
     for v in range(cliques.n):
@@ -352,11 +352,3 @@ def test_promising_actions_boundaries():
     out_comm = (1.0 + s) / 2.0
     assert in_comm[0] == 0.0 and out_comm[2] == 1.0
     assert in_comm[1] == 0.5 and out_comm[1] == 0.5
-
-
-def test_promising_actions_complement(barbell):
-    part = Partition.from_communities([{0, 1, 2}, {3, 4, 5}])
-    tgt = promising_actions(barbell, 0, part, complement=True)
-    bits = barbell.row(0)
-    for v in range(barbell.n):
-        assert tgt[v] == (0.5 if v == 0 else 1.0 - bits[v])
