@@ -192,7 +192,7 @@ def _cmd_hide(args) -> int:
     try:
         u = g.id_of(args.target)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(exc.args[0]) from None
     algo = _ALGO_ALIASES.get(args.algo, args.algo)
     detector = DetectorSpec(algo, seed=args.detector_seed, resolution=args.resolution)
     config = _config_from_args(args)

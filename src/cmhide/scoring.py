@@ -26,21 +26,23 @@ DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 # Sources per betweenness pass. A pass holds O(_BLOCK * m) temporaries, one
 # entry per (source, arc) pair, and pays a fixed numpy overhead per
 # breadth-first level that larger blocks share among more sources. On
-# graphs of 120 to 600 nodes 8 sources are 10-25% slower than 16, while 32
-# are at most an eighth faster and double the memory peak.
+# graphs of 120 to 600 nodes 8 sources are 10-25% slower than 16. 64
+# sources took 9.1 ms against 10.5 on an LFR-style n=300 graph, tied at
+# 41 ms on an n=600 SBM and lost on an n=1000 LFR graph, 137 ms against
+# 109, each time with 3.8 times the memory peak.
 _BLOCK = 16
 
 
-def _expand(front: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray):
-    """Arcs leaving the flat (source, node) ids in `front`: their tails and heads."""
-    v = front % n
-    start = indptr[v]
-    deg = indptr[v + 1] - start
+def _expand(front: np.ndarray, node: np.ndarray, indptr: np.ndarray, offset: np.ndarray):
+    """Arcs leaving the flat (source, node) ids `front` of nodes `node`: tails, heads."""
+    start = indptr[node]
+    deg = indptr[node + 1] - start
     head = np.repeat(start - np.cumsum(deg) + deg, deg)
     head += np.arange(head.size)  # arc ids
-    head = indices[head]
-    head += np.repeat(front - v, deg)
-    return np.repeat(front, deg), head
+    head = offset[head]
+    tail = np.repeat(front, deg)
+    head += tail
+    return tail, head
 
 
 def betweenness(g: Graph) -> np.ndarray:
@@ -48,63 +50,76 @@ def betweenness(g: Graph) -> np.ndarray:
 
     Brandes' accumulation, run for a block of sources at a time with
     level-synchronous frontiers. State lives in (block, n) arrays addressed
-    by flat ids source * n + node. Each level finds the arcs from the
-    frontier to unseen nodes in one of two directions (Beamer, Asanovic &
-    Patterson 2012): a push level expands the frontier's arcs, a pull level
-    the arcs of the unseen nodes and keeps those whose other end is in the
-    frontier. Pull levels run when the unseen nodes have fewer arcs than
-    the frontier. A stable sort by parent rank then lists pull arcs exactly
-    as push would: by parent in frontier order, children in id order.
+    by flat ids source * n + node, so an arc leads from flat id t to
+    t + offset, where the arc's offset is its head node minus its tail node.
+    Each level finds the arcs from the frontier to unseen nodes in one of
+    two directions (Beamer, Asanovic & Patterson 2012): a push level
+    expands the frontier's arcs, a pull level the arcs of the unseen nodes
+    and keeps those whose other end is in the frontier. Pull levels run
+    when the unseen nodes have fewer arcs than the frontier. A stable sort
+    by parent rank then lists pull arcs exactly as push would: by parent in
+    frontier order, children in id order.
 
     Each frontier is kept in breadth-first discovery order and the
     dependencies flow back from it in reverse, so every sum is taken in the
     order of the one-source-at-a-time queue-and-stack version and the
     result equals it bit for bit: nodes with tied scores keep their rank
-    order. Ranks fit in `np.min_scalar_type(block * n)`, and numpy sorts
-    keys of 16 bits or fewer stably by radix.
+    order. Ranks are held in `np.min_scalar_type(block * n)`, the sort key
+    itself, and numpy sorts keys of 16 bits or fewer stably by radix.
     """
     n = g.n
     indptr, indices = g.csr()
     degree = np.diff(indptr)
+    offset = indices - np.repeat(np.arange(n), degree)
     bc = np.zeros(n)
     for first in range(0, n, _BLOCK):
         block = min(_BLOCK, n - first)
         size = block * n
         key = np.min_scalar_type(size)
-        front = np.arange(block) * (n + 1) + first  # flat ids of the sources
+        node = np.arange(first, first + block)
+        front = np.arange(block) * n + node  # flat ids of the sources
         sigma = np.zeros(size)
         sigma[front] = 1.0
         seen = sigma > 0.0
-        rank = np.zeros(size, dtype=np.int64)  # position in its frontier
-        first_parent = np.full(size, size)  # rank of the first parent to reach a node
+        rank = np.zeros(size, dtype=key)  # position in its frontier
+        first_parent = np.full(size, size, dtype=key)  # rank of the first parent to reach a node
         unseen_arcs = block * int(indptr[-1])  # arcs of the nodes not yet reached
         dag = []  # per level: arcs into it, heads found last come first
         while True:
-            front_arcs = int(degree[front % n].sum())
+            front_arcs = int(degree[node].sum())
             unseen_arcs -= front_arcs
-            if front_arcs <= unseen_arcs:  # push
-                tail, head = _expand(front, n, indptr, indices)
-                new = ~seen[head]
-                tail, head = tail[new], head[new]
-            else:  # pull: an unseen node's seen neighbours are all in the frontier
-                head, tail = _expand(np.flatnonzero(~seen), n, indptr, indices)
-                found = seen[tail]
-                tail, head = tail[found], head[found]
-                by_parent = np.argsort(rank[tail].astype(key), kind="stable")
-                tail, head = tail[by_parent], head[by_parent]
-            if not head.size:
+            pull = front_arcs > unseen_arcs
+            if pull:  # an unseen node's seen neighbours are all in the frontier
+                unseen = np.flatnonzero(~seen)
+                head, tail = _expand(unseen, unseen % n, indptr, offset)
+                keep = np.flatnonzero(seen[tail])
+            else:
+                tail, head = _expand(front, node, indptr, offset)
+                keep = np.flatnonzero(~seen[head])
+            if not keep.size:
                 break
+            # one take at a time, and the pull sort after them, so that each
+            # expanded array is freed before the next copy is made
+            tail = tail[keep]
+            head = head[keep]
+            if pull:
+                keep = np.argsort(rank[tail], kind="stable")
+                tail = tail[keep]
+                head = head[keep]
             sigma += np.bincount(head, weights=sigma[tail], minlength=size)
             # arcs run in frontier order, so the arcs from each head's first
             # parent list the new heads in discovery order
             tail_rank = rank[tail]
             np.minimum.at(first_parent, head, tail_rank)
             front = head[tail_rank == first_parent[head]]
+            node = front % n
             seen[front] = True
             rank[front] = np.arange(front.size)
             # sort ties are arcs into one head; their order changes no sum
-            back = np.argsort((front.size - 1 - rank[head]).astype(key), kind="stable")
+            back = np.argsort(front.size - 1 - rank[head], kind="stable")
             dag.append((tail[back], head[back]))
+            # free this level's arrays before the next one allocates its own
+            del tail, head, keep, tail_rank, back
         delta = np.zeros(size)
         for tail, head in reversed(dag[1:]):
             coeff = sigma[tail] * ((1.0 + delta[head]) / sigma[head])

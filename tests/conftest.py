@@ -60,6 +60,25 @@ def planted_blocks(sizes, p_in, p_out, seed) -> Graph:
     )
 
 
+def layered_graph(layers: int, seed: int) -> Graph:
+    """Layers of 3 to 6 nodes; each node links to 2 or more random nodes of the layer before.
+
+    Shortest-path counts multiply from layer to layer, so they soon pass 2**53,
+    where float sums stop being exact and their order shows in the last bits.
+    """
+    rng = np.random.default_rng(seed)
+    start = np.concatenate([[0], np.cumsum(rng.integers(3, 7, size=layers))])
+    edges = []
+    for i in range(1, layers):
+        prev = np.arange(start[i - 1], start[i])
+        for v in range(start[i], start[i + 1]):
+            parents = rng.choice(prev, size=int(rng.integers(2, prev.size + 1)), replace=False)
+            edges += [(int(u), v) for u in parents]
+    return Graph(
+        [(str(a), str(b)) for a, b in edges], node_labels=[str(v) for v in range(start[-1])]
+    )
+
+
 def set_partitions(items):
     """All partitions of a sequence into non-empty blocks."""
     items = list(items)

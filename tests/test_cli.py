@@ -136,7 +136,7 @@ def test_hide_strict_flag_turns_failure_into_exit_1(capsys):
 def test_hide_unknown_target_exits_2(capsys):
     rc, _, err = run_cli(capsys, "hide", "--graph", "kar", "--target", "zz")
     assert rc == 2
-    assert "cmhide: error:" in err
+    assert err == "cmhide: error: unknown node label 'zz'\n"
 
 
 def test_missing_graph_exits_2(capsys):

@@ -23,7 +23,7 @@ from cmhide.scoring import (
     rank_scores,
 )
 
-from conftest import graph_from_edges, planted_blocks, random_graph
+from conftest import graph_from_edges, layered_graph, planted_blocks, random_graph
 
 
 def brute_betweenness(g) -> np.ndarray:
@@ -208,6 +208,9 @@ def _kernel_cases():
     # the last block of sources is short, or the only one
     cases["n below the block"] = random_graph(_BLOCK - 3, 0.4, 1)
     cases["n not a block multiple"] = random_graph(2 * _BLOCK + 5, 0.15, 2)
+    # path counts up to 2**61: float sums past 2**53 round, so their order
+    # shows in the last bits
+    cases["layered n=177"] = layered_graph(40, 3)
     return cases
 
 
@@ -215,6 +218,46 @@ def _kernel_cases():
 def test_betweenness_equals_queue_version_bit_for_bit(name):
     g = _kernel_cases()[name]
     assert betweenness(g).tobytes() == queue_betweenness(g).tobytes()
+
+
+def max_path_count(g) -> int:
+    """The most shortest paths between any two nodes, counted in Python ints."""
+    most = 0
+    for s in range(g.n):
+        sigma = [0] * g.n
+        sigma[s] = 1
+        dist = [-1] * g.n
+        dist[s] = 0
+        queue = deque((s,))
+        while queue:
+            v = queue.popleft()
+            for w in g.neighbors(v):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+        most = max(most, max(sigma))
+    return most
+
+
+def test_layered_case_has_path_counts_beyond_2_53():
+    assert max_path_count(_kernel_cases()["layered n=177"]) > 2**53
+
+
+def test_betweenness_with_32_bit_sort_keys():
+    # past n = 4096 a block's flat ids need 32-bit sort keys, which numpy
+    # does not sort by radix. Isolated sources add only zero rows, so the
+    # component's values still equal the queue loop's on it alone.
+    component = random_graph(60, 0.1, 5)
+    g = Graph(
+        [(str(a), str(b)) for a, b in component.edges()],
+        node_labels=[str(v) for v in range(4100)],
+    )
+    assert np.min_scalar_type(_BLOCK * g.n) == np.uint32
+    bc = betweenness(g)
+    assert bc[:60].tobytes() == queue_betweenness(component).tobytes()
+    assert (bc[60:] == 0.0).all()
 
 
 def _nx_graph(nx, g):
@@ -247,6 +290,7 @@ def _oracle_cases(nx):
         "sbm overlay": apply_delta(
             sbm, EdgeDelta(0, frozenset(list(sbm.neighbors(0))[:3] + outsiders))
         ),
+        "layered n=177": layered_graph(40, 3),
     }
 
 
