@@ -2,8 +2,9 @@
 
 Machine output is JSON (or CSV for tabular data) on stdout or --out;
 --verbose adds a human-readable digest on stderr. Exit codes: 0 success,
-1 hiding failed under --strict, 2 usage or config errors. The CMH_SEED
-environment variable overrides the default of every --seed flag.
+1 hiding failed under --strict, 2 usage or config errors. `hide` takes its
+settings from a built-in --preset, then a --config file, then its flags,
+each beating the one before.
 """
 
 from __future__ import annotations
@@ -33,28 +34,15 @@ from .evaluation import (
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .gradient import HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
-from .presets import PRESET_NAMES, load_preset
+from .presets import PRESET_NAMES, get_preset
 from .schema import from_json, load_json, read_text
 from .scoring import DEFAULT_WEIGHTS, pagerank, structural_scores
 
-_ALGO_ALIASES = {"labelprop": "label_propagation"}  # DetectorSpec rejects unknown names
-_ALGO_CHOICES = DETECTOR_NAMES + tuple(_ALGO_ALIASES)
-
 _CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig))
+_SPEC_CONFIG_KEYS = _CONFIG_KEYS - {"seed"}  # every attack seed derives from the spec's seed
 
 # a spec's `jobs` is left to --jobs
 _SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.name != "jobs")}
-
-
-def _seed_default(unset: int | None = 0) -> int | None:
-    """The CMH_SEED environment variable as an integer, `unset` without it."""
-    raw = os.environ.get("CMH_SEED")
-    if raw is None:
-        return unset
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"CMH_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -78,10 +66,9 @@ def _load_graph(path: str) -> Graph:
 
 def _detector_from_json(value, key: str) -> DetectorSpec:
     def build(obj: dict) -> DetectorSpec:
-        algo = str(obj.pop("algo", "greedy"))
-        return DetectorSpec(_ALGO_ALIASES.get(algo, algo), **obj)
+        return DetectorSpec(str(obj.pop("algo", "greedy")), **obj)
 
-    return from_json(value, "detector", repr(key), build, ("algo", "seed", "resolution"))
+    return from_json(value, "detector", repr(key), build, ("algo", "seed"))
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -131,12 +118,12 @@ def _parse_weights(text: str) -> tuple[float, ...]:
 
 def _config_from_args(args) -> HidingConfig:
     """Flags beat the --config file, which beats the preset, which beats defaults."""
-    config = load_preset(args.preset).config() if args.preset else HidingConfig()
+    config = get_preset(args.preset).config() if args.preset is not None else HidingConfig()
     if args.config is not None:
         base = config
         config = load_json(args.config, "config", lambda obj: replace(base, **obj), _CONFIG_KEYS)
-    overrides = {"seed": args.seed}
-    for key in ("tau", "beta", "eta", "lam", "max_iter"):
+    overrides = {}
+    for key in ("tau", "beta", "eta", "lam", "max_iter", "seed"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
@@ -179,11 +166,10 @@ def _emit_value_csv(labels: Sequence[str], values: Sequence[float], sink: IO[str
 
 def _cmd_detect(args) -> int:
     g = _load_graph(args.graph)
-    algo = _ALGO_ALIASES.get(args.algo, args.algo)
-    part = detect(g, DetectorSpec(algo, seed=args.seed, resolution=args.resolution))
-    _write_output(_partition_json(algo, args.seed, g, part), args.out)
+    part = detect(g, DetectorSpec(args.algo, seed=args.seed))
+    _write_output(_partition_json(args.algo, args.seed, g, part), args.out)
     if args.verbose:
-        print(f"{algo}: {part.k} communities on n={g.n}, m={g.m}", file=sys.stderr)
+        print(f"{args.algo}: {part.k} communities on n={g.n}, m={g.m}", file=sys.stderr)
     return 0
 
 
@@ -193,10 +179,8 @@ def _cmd_hide(args) -> int:
         u = g.id_of(args.target)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    algo = _ALGO_ALIASES.get(args.algo, args.algo)
-    detector = DetectorSpec(algo, seed=args.detector_seed, resolution=args.resolution)
     config = _config_from_args(args)
-    outcome = attack(args.method, g, u, detector, config, seed=args.seed)
+    outcome = attack(args.method, g, u, DetectorSpec(args.algo, seed=args.detector_seed), config)
     _write_output(_outcome_json(g, args.method, outcome, config), args.out)
     if args.verbose:
         state = "hidden" if outcome.success else "still visible"
@@ -214,10 +198,10 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
     """A spec's graph and ExperimentSpec; its preset fills what it leaves out."""
     g = _load_graph(str(obj.pop("graph")))
     preset = obj.pop("preset", None)
-    preset = load_preset(str(preset)) if preset else None
+    preset = get_preset(str(preset)) if preset is not None else None
     base = preset.config() if preset else HidingConfig()
     obj["config"] = from_json(
-        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _CONFIG_KEYS
+        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _SPEC_CONFIG_KEYS
     )
     for key in ("detector", "eval_detector"):
         if obj.get(key) is not None:
@@ -271,15 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hide a node from its detected community by rewiring few edges.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _seed_default()
 
     p_detect = sub.add_parser("detect", help="run a community detector on a graph")
     p_detect.add_argument("--graph", required=True, help="edge-list file or fixture name")
-    p_detect.add_argument("--algo", default="greedy", choices=_ALGO_CHOICES)
-    p_detect.add_argument("--seed", type=int, default=seed_default)
-    p_detect.add_argument(
-        "--resolution", type=float, default=1.0, help="modularity resolution (Louvain only)"
-    )
+    p_detect.add_argument("--algo", default="greedy", choices=DETECTOR_NAMES)
+    p_detect.add_argument("--seed", type=int, default=0)
     p_detect.add_argument("--out", help="write partition JSON here instead of stdout")
     p_detect.add_argument("--verbose", action="store_true")
     p_detect.set_defaults(func=_cmd_detect)
@@ -287,24 +267,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide = sub.add_parser("hide", help="rewire one node's edges until it changes community")
     p_hide.add_argument("--graph", required=True, help="edge-list file or fixture name")
     p_hide.add_argument("--target", required=True, help="node label to hide")
-    p_hide.add_argument("--algo", default="greedy", choices=_ALGO_CHOICES)
+    p_hide.add_argument("--algo", default="greedy", choices=DETECTOR_NAMES)
     p_hide.add_argument("--method", default="gradient", choices=ALL_METHODS)
     p_hide.add_argument("--tau", type=float)
     p_hide.add_argument("--beta", type=int)
-    p_hide.add_argument(
-        "--preset",
-        help=f"hyperparameter set: one of {', '.join(PRESET_NAMES)}, or a JSON file",
-    )
+    p_hide.add_argument("--preset", help=f"hyperparameter set: one of {', '.join(PRESET_NAMES)}")
     p_hide.add_argument("--config", help="JSON file overriding optimiser settings")
     p_hide.add_argument("--eta", type=float)
     p_hide.add_argument("--lam", type=float)
     p_hide.add_argument("--max-iter", dest="max_iter", type=int)
     p_hide.add_argument("--weights", help="four comma-separated structural weights")
-    p_hide.add_argument("--seed", type=int, default=seed_default)
+    p_hide.add_argument("--seed", type=int, help="default: the --config seed, else 0")
     p_hide.add_argument("--detector-seed", type=int, default=0)
-    p_hide.add_argument(
-        "--resolution", type=float, default=1.0, help="modularity resolution (Louvain only)"
-    )
     p_hide.add_argument("--strict", action="store_true", help="exit 1 when hiding fails")
     p_hide.add_argument("--out", help="write outcome JSON here instead of stdout")
     p_hide.add_argument("--verbose", action="store_true")
@@ -314,10 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--spec", required=True, help="experiment spec JSON file")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_bench.add_argument(
-        "--seed", type=int, default=_seed_default(unset=None),
-        help="override the spec's master seed",
-    )
+    p_bench.add_argument("--seed", type=int, help="override the spec's master seed")
     p_bench.add_argument("--verbose", action="store_true")
     p_bench.set_defaults(func=_cmd_benchmark)
 

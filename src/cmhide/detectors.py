@@ -1,6 +1,6 @@
 """Community detection: greedy modularity, Louvain and label propagation.
 
-All detectors are deterministic given their spec (name, seed, resolution).
+All detectors are deterministic given their spec (name and seed).
 Partitions are canonical: communities ordered by their smallest member, so
 two equal partitions compare equal structurally.
 """
@@ -24,11 +24,10 @@ _EPS_GAIN = 1e-12
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Identifies a detector run: algorithm name, seed and resolution."""
+    """Identifies a detector run: algorithm name and seed."""
 
     name: str
     seed: int = 0
-    resolution: float = 1.0
 
     def __post_init__(self):
         check_types(self)
@@ -38,8 +37,6 @@ class DetectorSpec:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.resolution <= 0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class Partition:
         return out
 
 
-def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float:
+def modularity(g: Graph, partition: Partition) -> float:
     """Newman modularity of a partition; 0.0 on an edgeless graph."""
     m = g.m
     if m == 0:
@@ -99,7 +96,7 @@ def modularity(g: Graph, partition: Partition, resolution: float = 1.0) -> float
             for w in g.neighbors(v):
                 if w in comm and w > v:
                     intra += 1
-        q += intra / m - resolution * (dsum / (2.0 * m)) ** 2
+        q += intra / m - (dsum / (2.0 * m)) ** 2
     return q
 
 
@@ -151,7 +148,7 @@ def _greedy(g: Graph) -> Partition:
     return Partition.from_communities(c for c in members if c is not None)
 
 
-def _louvain(g: Graph, seed: int, resolution: float) -> Partition:
+def _louvain(g: Graph, seed: int) -> Partition:
     """Seeded Louvain on the unweighted graph, aggregating levels until stable."""
     rng = np.random.default_rng(seed)
     # level state: weighted adjacency, self-loop weights, node -> original members
@@ -180,11 +177,11 @@ def _louvain(g: Graph, seed: int, resolution: float) -> Partition:
                     cu = node2com[u]
                     links[cu] = links.get(cu, 0.0) + w
                 sigma_tot[c_old] -= k[v]
-                best_c, best_gain = c_old, links[c_old] - resolution * sigma_tot[c_old] * k[v] / m2
+                best_c, best_gain = c_old, links[c_old] - sigma_tot[c_old] * k[v] / m2
                 for c in sorted(links):
                     if c == c_old:
                         continue
-                    cand = links[c] - resolution * sigma_tot[c] * k[v] / m2
+                    cand = links[c] - sigma_tot[c] * k[v] / m2
                     if cand > best_gain + _EPS_GAIN:
                         best_c, best_gain = c, cand
                 sigma_tot[best_c] += k[v]
@@ -258,5 +255,5 @@ def detect(g: Graph, spec: DetectorSpec) -> Partition:
     if spec.name == "greedy":
         return _greedy(g)
     if spec.name == "louvain":
-        return _louvain(g, spec.seed, spec.resolution)
+        return _louvain(g, spec.seed)
     return _label_propagation(g, spec.seed)

@@ -30,17 +30,9 @@ from .seeding import derive_seed
 GRADIENT_METHODS = ("gradient", "gradient_projected")
 ALL_METHODS = GRADIENT_METHODS + BASELINE_NAMES
 
-NMI_VARIANTS = ("arithmetic", "geometric", "min", "max")
 
-
-def nmi(
-    labels_a: Sequence[int], labels_b: Sequence[int], variant: str = "arithmetic"
-) -> float:
-    """Normalised mutual information between two cluster label vectors."""
-    if variant not in NMI_VARIANTS:
-        raise ConfigError(
-            f"unknown normalisation {variant!r}; available: {', '.join(NMI_VARIANTS)}"
-        )
+def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
+    """Mutual information of two cluster label vectors over their mean entropy."""
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape != b.shape or a.ndim != 1:
@@ -63,14 +55,7 @@ def nmi(
     nz = joint > 0
     outer = np.outer(pa, pb)
     info = float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())
-    if variant == "arithmetic":
-        denom = 0.5 * (ha + hb)
-    elif variant == "geometric":
-        denom = math.sqrt(ha * hb)
-    elif variant == "min":
-        denom = min(ha, hb)
-    else:
-        denom = max(ha, hb)
+    denom = 0.5 * (ha + hb)
     if denom == 0.0:
         return 0.0
     return float(min(1.0, max(0.0, info / denom)))
@@ -166,7 +151,6 @@ class ExperimentSpec:
     eval_detector: DetectorSpec | None = None
     config: HidingConfig = HidingConfig()
     mu_plus_one: bool = False
-    nmi_variant: str = "arithmetic"
     fractions: tuple[float, ...] = (0.3, 0.5, 0.8)
     max_targets: int = 100
     jobs: int = 1
@@ -181,8 +165,6 @@ class ExperimentSpec:
         for name in ("runs", "jobs", "max_targets"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.nmi_variant not in NMI_VARIANTS:
-            raise ConfigError(f"unknown normalisation {self.nmi_variant!r}")
         for tau in self.taus:
             replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
         for factor in self.beta_factors:
@@ -317,9 +299,7 @@ def _run_cell(
             else:
                 part_eval_after = detect(outcome.graph, eval_det)
             sim_eval = _dice_of(inv.part_eval, part_eval_after, u)
-            nmi_val = nmi(
-                inv.labels_before, part_eval_after.membership(g.n), spec.nmi_variant
-            )
+            nmi_val = nmi(inv.labels_before, part_eval_after.membership(g.n))
             records.append(
                 TargetRecord(
                     run=run,

@@ -93,7 +93,6 @@ class HidingOutcome:
     iterations: int = 0
     detections: int = 0
     restarts: int = 0
-    projected: bool = False
     wall_seconds: float = field(default=0.0, compare=False)
 
     @property
@@ -277,7 +276,6 @@ def hide(
         iterations=iterations,
         detections=detections,
         restarts=restarts,
-        projected=config.exhaust_budget,
         wall_seconds=time.perf_counter() - t_start,
     )
 

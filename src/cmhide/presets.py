@@ -6,14 +6,10 @@ to sum to exactly 1 when a config is built from a preset.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .gradient import HidingConfig
-from .schema import check_types, load_json
-from .scoring import check_weights
 
 
 @dataclass(frozen=True)
@@ -26,14 +22,6 @@ class Preset:
     max_iter: int
     raw_weights: tuple[float, float, float, float]
     mu_plus_one: bool = False
-
-    def __post_init__(self):
-        check_types(self)
-        if len(self.raw_weights) != 4:
-            raise ConfigError(f"a preset must list exactly 4 weights, got {self.raw_weights!r}")
-        if not 0 < sum(self.raw_weights) < math.inf:  # NaN or infinite if any weight is
-            raise ConfigError(f"weights must have a positive finite sum, got {self.raw_weights!r}")
-        check_weights(self.weights)  # here, so that an error names the preset file
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -82,25 +70,3 @@ def get_preset(name: str) -> Preset:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-
-
-def load_preset(ref: str) -> Preset:
-    """Resolve a preset by built-in name, falling back to a JSON file path.
-
-    A file holds the keys of a Preset, with `weights` for `raw_weights`;
-    `name` defaults to the file name without its extension.
-    """
-    if ref in PRESETS:
-        return PRESETS[ref]
-    if not os.path.exists(ref):
-        raise ConfigError(
-            f"unknown preset {ref!r} (not a built-in name or a file); "
-            f"available: {', '.join(PRESET_NAMES)}"
-        )
-
-    def build(obj: dict) -> Preset:
-        obj.setdefault("name", os.path.splitext(os.path.basename(ref))[0])
-        return Preset(raw_weights=obj.pop("weights"), **obj)
-
-    required = ("eta", "lam", "max_iter", "weights")
-    return load_json(ref, "preset", build, ("name", *required, "mu_plus_one"), required)

@@ -1,7 +1,7 @@
 """The field types of the settings dataclasses, and the JSON files that fill them.
 
-HidingConfig, ExperimentSpec, DetectorSpec and Preset run `check_types` on
-construction; `load_json` reads --config, --preset, --spec and --partition files.
+HidingConfig, ExperimentSpec and DetectorSpec run `check_types` on
+construction; `load_json` reads --config, --spec and --partition files.
 """
 
 from __future__ import annotations

@@ -30,12 +30,6 @@ def test_detect_output_file_is_stable(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_detect_accepts_labelprop_alias(capsys):
-    rc, out, _ = run_cli(capsys, "detect", "--graph", "cliques", "--algo", "labelprop")
-    assert rc == 0
-    assert json.loads(out)["algo"] == "label_propagation"
-
-
 def test_detect_verbose_digest_goes_to_stderr(capsys):
     rc, out, err = run_cli(capsys, "detect", "--graph", "kar", "--verbose")
     assert rc == 0
@@ -145,53 +139,24 @@ def test_missing_graph_exits_2(capsys):
     assert "not found" in err
 
 
-def test_bad_master_seed_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CMH_SEED", "abc")
-    rc, _, err = run_cli(capsys, "detect", "--graph", "kar")
-    assert rc == 2
-    assert "CMH_SEED" in err
-
-
-def test_master_seed_env_sets_seed_default(capsys, monkeypatch):
-    argv = (
-        "hide", "--graph", "kar", "--target", "9", "--preset", "kar",
-        "--tau", "0.5", "--beta", "3",
-    )
-    monkeypatch.setenv("CMH_SEED", "7")
-    _, out_env, _ = run_cli(capsys, *argv)
-    monkeypatch.delenv("CMH_SEED")
-    _, out_flag, _ = run_cli(capsys, *argv, "--seed", "7")
-    strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_ms"}
-    assert strip(out_env) == strip(out_flag)
-
-
 def test_config_file_applies_and_flags_beat_it(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tau": 0.8, "beta": 2}), "utf-8")
-    base = ("hide", "--graph", "kar", "--target", "9", "--config", str(cfg))
+    cfg.write_text(json.dumps({"tau": 0.8, "beta": 2, "seed": 5}), "utf-8")
+    plain = ("hide", "--graph", "kar", "--target", "9", "--preset", "kar")
+    base = plain + ("--config", str(cfg))
+    strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_ms"}
     _, out, _ = run_cli(capsys, *base)
-    obj = json.loads(out)
+    obj = strip(out)
     assert obj["tau"] == 0.8 and obj["beta"] == 2
+    _, seed_5, _ = run_cli(capsys, *plain, "--tau", "0.8", "--beta", "2", "--seed", "5")
+    _, seed_0, _ = run_cli(capsys, *plain, "--tau", "0.8", "--beta", "2", "--seed", "0")
+    assert obj == strip(seed_5) != strip(seed_0)  # the file's seed runs
     _, out, _ = run_cli(capsys, *base, "--tau", "0.3")
     obj = json.loads(out)
     assert obj["tau"] == 0.3 and obj["beta"] == 2
-
-
-def test_preset_accepts_a_json_file(capsys, tmp_path):
-    preset = tmp_path / "mine.json"
-    preset.write_text(
-        json.dumps(
-            {"eta": 0.079, "lam": 1.71, "max_iter": 120,
-             "weights": [0.33, 0.20, 0.21, 0.24]}
-        ),
-        "utf-8",
-    )
-    argv = ("hide", "--graph", "kar", "--target", "9",
-            "--tau", "0.5", "--beta", "3", "--seed", "7")
-    _, from_file, _ = run_cli(capsys, *argv, "--preset", str(preset))
-    _, from_name, _ = run_cli(capsys, *argv, "--preset", "kar")
-    strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_ms"}
-    assert strip(from_file) == strip(from_name)
+    _, out, _ = run_cli(capsys, *base, "--seed", "7")
+    _, seed_7, _ = run_cli(capsys, *plain, "--tau", "0.8", "--beta", "2", "--seed", "7")
+    assert strip(out) == strip(seed_7) != strip(seed_5)  # the flag beats the file
 
 
 def test_unknown_preset_exits_2(capsys):
@@ -229,6 +194,8 @@ LATIN1 = "caf\xe9 bar\n".encode("latin-1")  # not UTF-8
 
 HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
 
+KAR_AS_FILE = {"eta": 0.079, "lam": 1.71, "max_iter": 120, "weights": [0.33, 0.20, 0.21, 0.24]}
+
 BAD_INPUTS = {
     "config value": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"tau": "x"})),
     "partition label": lambda tmp: (
@@ -243,9 +210,13 @@ BAD_INPUTS = {
         "analyze", "scores", "--graph", "kar", "--partition",
         _json_file(tmp, {"communities": [[str(v) for v in range(34)]], "seeds": 0}),
     ),
-    "preset value": lambda tmp: HIDE_9 + (
-        "--preset",
-        _json_file(tmp, {"eta": "x", "lam": 1.0, "max_iter": 5, "weights": [1, 1, 1, 1]}),
+    # a preset is a built-in name; settings from a file come with --config
+    "preset file": lambda tmp: HIDE_9 + ("--preset", _json_file(tmp, KAR_AS_FILE)),
+    "preset empty": lambda tmp: HIDE_9 + ("--preset", ""),
+    "spec preset file": lambda tmp: (
+        "benchmark", "--out", str(tmp / "out"), "--spec", _json_file(
+            tmp, {"graph": "kar", "preset": _bytes_file(tmp, json.dumps(KAR_AS_FILE).encode())},
+        ),
     ),
     "spec runs": lambda tmp: (
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "runs": "x"}),
@@ -283,7 +254,6 @@ BAD_INPUTS = {
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"squared_loss": True}}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
-    "resolution nan": lambda tmp: ("detect", "--graph", "kar", "--resolution", "nan"),
     "scores weights nan": lambda tmp: (
         "analyze", "scores", "--graph", "kar", "--weights", "nan,1,1,1",
         "--partition", _json_file(tmp, {"communities": [[str(v) for v in range(34)]]}),
@@ -358,26 +328,16 @@ BAD_INPUTS = {
             "config beta bool": {"config": {"beta": True}},
             "detector seed negative": {"detector": {"algo": "louvain", "seed": -1}},
             "detector key misspelt": {"detector": {"algo": "louvain", "sed": 1}},
+            "detector resolution": {"detector": {"algo": "louvain", "resolution": 1.0}},
+            "nmi_variant": {"nmi_variant": "arithmetic"},
+            "config seed": {"config": {"seed": 5}},  # attack seeds derive from the spec's seed
+            "preset false": {"preset": False},
         }.items()
     },
     "config exhaust_budget string": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"exhaust_budget": "false"}),
     ),
     "config beta bool": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"beta": True})),
-    **{
-        f"preset {name}": lambda tmp, obj=obj: HIDE_9 + (
-            "--beta", "3", "--preset", _json_file(
-                tmp, {"eta": 0.079, "lam": 1.71, "max_iter": 120,
-                      "weights": [0.33, 0.20, 0.21, 0.24], **obj},
-            ),
-        )
-        for name, obj in {
-            "max_iter not integral": {"max_iter": 2.7},
-            "mu_plus_one string": {"mu_plus_one": "false"},
-            "weights sum zero": {"weights": [0, 0, 0, 0]},
-            "weights negative": {"weights": [-0.1, 0.5, 0.3, 0.3]},
-        }.items()
-    },
     "detect seed negative": lambda tmp: (
         "detect", "--graph", "kar", "--algo", "louvain", "--seed", "-1",
     ),
@@ -387,26 +347,27 @@ BAD_INPUTS = {
         )
         for method in ("gradient", "random")
     },
-    "CMH_SEED negative": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3"),
 }
 
-BAD_ENVIRONMENTS = {"CMH_SEED negative": {"CMH_SEED": "-1"}}
-
 # the unknown key each error line must end with
-UNKNOWN_KEYS = {"config removed key": "q", "spec config removed key": "squared_loss"}
+UNKNOWN_KEYS = {
+    "config removed key": ("config", "q"),
+    "spec config removed key": ("config", "squared_loss"),
+    "spec config seed": ("config", "seed"),
+    "spec detector resolution": ("detector", "resolution"),
+    "spec nmi_variant": ("spec", "nmi_variant"),
+}
 
 
 UNREADABLE_FILES = {
     "config directory", "graph directory", "graph not an edge list", "graph not utf-8",
-    "partition directory", "partition not utf-8", "preset directory", "spec directory",
+    "partition directory", "partition not utf-8", "spec directory",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_with_an_error_line(capsys, monkeypatch, tmp_path, case):
+def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     argv = BAD_INPUTS[case](tmp_path)
-    for name, value in BAD_ENVIRONMENTS.get(case, {}).items():
-        monkeypatch.setenv(name, value)
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("cmhide: error:")
@@ -420,8 +381,26 @@ def test_bad_input_exits_2_with_an_error_line(capsys, monkeypatch, tmp_path, cas
         if flag in argv and argv[argv.index(flag) + 1].startswith(str(tmp_path)):
             assert repr(argv[argv.index(flag) + 1]) in err
     if case in UNKNOWN_KEYS:  # and the key it does not know
-        assert "unknown config keys" in err
-        assert err.rstrip().endswith(f": {UNKNOWN_KEYS[case]}")
+        what, key = UNKNOWN_KEYS[case]
+        assert f"unknown {what} keys" in err
+        assert err.rstrip().endswith(f": {key}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect", "--graph", "kar", "--algo", "labelprop"),
+        HIDE_9 + ("--algo", "labelprop"),
+        ("detect", "--graph", "kar", "--resolution", "1"),
+        HIDE_9 + ("--algo", "louvain", "--resolution", "1"),
+    ],
+    ids=["detect labelprop", "hide labelprop", "detect resolution", "hide resolution"],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "usage: cmhide" in capsys.readouterr().err
 
 
 def test_loader_notes_dropped_lines(capsys, tmp_path):

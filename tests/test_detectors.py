@@ -13,7 +13,7 @@ from cmhide.graph import Graph
 from conftest import graph_from_edges, planted_blocks, random_graph, set_partitions
 
 
-def brute_modularity(g, partition, resolution=1.0):
+def brute_modularity(g, partition):
     """Direct double-sum over all ordered node pairs."""
     m2 = 2.0 * g.m
     total = 0.0
@@ -22,7 +22,7 @@ def brute_modularity(g, partition, resolution=1.0):
             if partition.community_of(i) != partition.community_of(j):
                 continue
             a_ij = 1.0 if g.has_edge(i, j) else 0.0
-            total += a_ij - resolution * g.degree(i) * g.degree(j) / m2
+            total += a_ij - g.degree(i) * g.degree(j) / m2
     return total / m2
 
 
@@ -136,19 +136,16 @@ def test_greedy_matches_exhaustive_max_on_small_graphs():
 
 
 def test_detector_spec_validation():
-    with pytest.raises(Exception):
-        DetectorSpec("greedy", resolution=0.0)
-    for resolution in (float("nan"), float("inf")):
-        with pytest.raises(Exception):
-            DetectorSpec("greedy", resolution=resolution)
+    with pytest.raises(ConfigError, match="unknown detector"):
+        DetectorSpec("labelprop")
     # numpy's generators take no negative seed; greedy ignores it but is held to it too
     for name in ("louvain", "greedy"):
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             DetectorSpec(name, seed=-1)
     with pytest.raises(ConfigError, match="seed must be an integer"):
         DetectorSpec("louvain", seed=True)
-    with pytest.raises(ConfigError, match="resolution must be a number"):
-        DetectorSpec("louvain", resolution="1")
+    with pytest.raises(TypeError):  # Louvain's modularity gain has no resolution knob
+        DetectorSpec("louvain", resolution=1.0)
 
 
 def heap_greedy(g) -> Partition:

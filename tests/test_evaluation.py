@@ -36,10 +36,8 @@ from cmhide.evaluation import (
 from cmhide import baselines, detectors, evaluation, gradient, scoring
 from cmhide.graph import Graph
 
-VARIANTS = ("arithmetic", "geometric", "min", "max")
 
-
-def brute_nmi(a, b, variant):
+def brute_nmi(a, b):
     n = len(a)
     ca, cb = Counter(a), Counter(b)
     joint = Counter(zip(a, b))
@@ -51,12 +49,7 @@ def brute_nmi(a, b, variant):
         c / n * math.log((c / n) / (ca[x] / n * cb[y] / n))
         for (x, y), c in joint.items()
     )
-    denom = {
-        "arithmetic": 0.5 * (ha + hb),
-        "geometric": math.sqrt(ha * hb),
-        "min": min(ha, hb),
-        "max": max(ha, hb),
-    }[variant]
+    denom = 0.5 * (ha + hb)
     if denom == 0.0:
         return 0.0
     return min(1.0, max(0.0, info / denom))
@@ -76,17 +69,9 @@ def test_nmi_matches_contingency_oracle():
         n = int(rng.integers(4, 12))
         a = rng.integers(0, 3, n).tolist()
         b = rng.integers(0, 4, n).tolist()
-        for variant in VARIANTS:
-            got = nmi(a, b, variant)
-            assert got == pytest.approx(brute_nmi(a, b, variant), abs=1e-12)
-            assert got == pytest.approx(nmi(b, a, variant), abs=1e-12)
-
-
-def test_nmi_variant_ordering():
-    a = [0, 0, 1, 1, 2, 2]
-    b = [0, 1, 1, 2, 2, 2]
-    values = [nmi(a, b, v) for v in ("min", "geometric", "arithmetic", "max")]
-    assert values == sorted(values, reverse=True)
+        got = nmi(a, b)
+        assert got == pytest.approx(brute_nmi(a, b), abs=1e-12)
+        assert got == pytest.approx(nmi(b, a), abs=1e-12)
 
 
 def test_nmi_input_validation():
@@ -94,8 +79,6 @@ def test_nmi_input_validation():
         nmi([0, 1], [0, 1, 2])
     with pytest.raises(ValueError):
         nmi([], [])
-    with pytest.raises(ConfigError):
-        nmi([0, 1], [0, 1], variant="harmonic")
 
 
 def test_f1_score_is_the_harmonic_mean():
@@ -202,8 +185,6 @@ def test_experiment_spec_validation():
         ExperimentSpec(runs=0)
     with pytest.raises(ConfigError):
         ExperimentSpec(jobs=0)
-    with pytest.raises(ConfigError):
-        ExperimentSpec(nmi_variant="harmonic")
     with pytest.raises(ConfigError):
         ExperimentSpec(max_targets=0)
     for taus in ((1.0,), (0.5, float("nan"))):

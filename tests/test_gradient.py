@@ -252,7 +252,6 @@ def test_projection_after_failed_search_is_locked(kar, greedy):
     plain = hide(kar, u, greedy, config, seed=3)
     assert not plain.success
     projected = hide(kar, u, greedy, replace(config, exhaust_budget=True), seed=3)
-    assert projected.projected
     assert projected.deltas == (EdgeDelta(u, frozenset({8, 21, 29})),)
     assert plain.delta.toggled < projected.delta.toggled
     assert projected.similarity == 0.0
@@ -282,7 +281,6 @@ def test_hide_succeeds_inside_clique(cliques, greedy):
     assert sorted(outcome.delta.toggled) == [4, 6, 8, 9]
     assert outcome.used_budget == 4
     assert outcome.restarts == 0
-    assert not outcome.projected
 
 
 def test_projected_variant_spends_remaining_budget(kar, greedy):
@@ -291,7 +289,6 @@ def test_projected_variant_spends_remaining_budget(kar, greedy):
     plain = hide(kar, u, greedy, config, seed=7)
     assert plain.used_budget == 2  # leaves one flip unspent
     projected = hide_projected(kar, u, greedy, config, seed=7)
-    assert projected.projected
     assert projected.used_budget == 3
     assert plain.delta.toggled < projected.delta.toggled
     assert_replays(kar, projected, greedy, 3)
@@ -302,7 +299,6 @@ def test_projected_variant_skips_detection_when_budget_already_full(cliques, gre
     plain = hide(cliques, 7, greedy, config, seed=2)
     assert plain.used_budget == 4
     projected = hide_projected(cliques, 7, greedy, config, seed=2)
-    assert projected.projected
     assert projected.deltas == plain.deltas
     assert projected.detections == plain.detections
 
