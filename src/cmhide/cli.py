@@ -38,7 +38,8 @@ from .presets import PRESET_NAMES, get_preset
 from .schema import from_json, load_json, read_text
 from .scoring import DEFAULT_WEIGHTS, pagerank, structural_scores
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig))
+# the method name alone sets exhaust_budget
+_CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig)) - {"exhaust_budget"}
 _SPEC_CONFIG_KEYS = _CONFIG_KEYS - {"seed"}  # every attack seed derives from the spec's seed
 
 # a spec's `jobs` is left to --jobs
@@ -213,10 +214,7 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
 
 def _cmd_benchmark(args) -> int:
     g, spec = load_json(args.spec, "spec", _experiment_from_json, _SPEC_KEYS, ("graph",))
-    overrides = {"jobs": args.jobs}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    report = run_experiment(g, replace(spec, **overrides))
+    report = run_experiment(g, replace(spec, jobs=args.jobs))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", "utf-8")
@@ -288,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--spec", required=True, help="experiment spec JSON file")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_bench.add_argument("--seed", type=int, help="override the spec's master seed")
     p_bench.add_argument("--verbose", action="store_true")
     p_bench.set_defaults(func=_cmd_benchmark)
 

@@ -157,6 +157,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_types(self)
+        for name in ("methods", "taus", "beta_factors"):
+            axis = getattr(self, name)
+            if not axis or len(set(axis)) < len(axis):
+                raise ConfigError(f"{name} must list one or more distinct values, got {axis!r}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ConfigError(
@@ -223,17 +227,19 @@ def attack(
 ) -> HidingOutcome:
     """Run one method of ALL_METHODS against node u.
 
-    The gradient methods search with `hide` (`gradient_projected` with
-    exhaust_budget on), the others with `run_baseline`; both take `seed`,
-    or config.seed when it is None. `scores`, the structural scores of g,
-    spares both their own pass: `hide` takes its targets from them and
-    `centrality` ranks by their raw betweenness.
+    The gradient methods search with `hide`, the others with
+    `run_baseline`; both take `seed`, or config.seed when it is None. The
+    method name alone sets exhaust_budget: off for `gradient`, on for
+    `gradient_projected`. `scores`, the structural scores of g, spares both
+    their own pass: `hide` takes its targets from them and `centrality`
+    ranks by their raw betweenness.
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; available: {', '.join(ALL_METHODS)}")
     if method in GRADIENT_METHODS:
-        if method == "gradient_projected":
-            config = replace(config, exhaust_budget=True)
+        projected = method == "gradient_projected"
+        if config.exhaust_budget != projected:  # a new config costs a validation pass
+            config = replace(config, exhaust_budget=projected)
         return hide(g, u, detector, config, seed=seed, scores=scores, partition=partition)
     return run_baseline(
         method, g, u, detector, config, seed=seed, partition=partition, scores=scores

@@ -183,9 +183,13 @@ def hide(
 ) -> HidingOutcome:
     """Search for a hiding rewiring of node u's row within the budget.
 
-    With config.exhaust_budget the search ends with project_to_budget,
-    which spends whatever budget is left. `seed` draws the starting points
-    in place of config.seed.
+    Every row the search proposes within budget is scored once: detected,
+    and its similarity, graph and partition kept. The search stops at the
+    first row whose similarity is at most tau and returns the best row
+    scored. A step that proposes more than beta flips restarts Adam from a
+    fresh point. With config.exhaust_budget the search ends with
+    project_to_budget, which spends whatever budget is left. `seed` draws
+    the starting points in place of config.seed.
     """
     t_start = time.perf_counter()
     n = g.n
@@ -196,39 +200,32 @@ def hide(
     target_vec = promising_actions(u, partition, scores)
     bits = g.row(u)
     row = bits.astype(float)
-    empty = EdgeDelta(u)
-    cache: dict[EdgeDelta, tuple[float, Graph, Partition]] = {
-        empty: (1.0, g, partition)
-    }
+    best = EdgeDelta(u)
+    scored: dict[EdgeDelta, tuple[float, Graph, Partition]] = {best: (1.0, g, partition)}
 
-    def evaluate(delta: EdgeDelta) -> tuple[float, Graph, Partition]:
-        """Similarity, graph and partition of a rewired row, detected once per row."""
+    def score(delta: EdgeDelta) -> float:
+        """Similarity of a rewired row, detected the first time it is scored."""
         nonlocal detections
-        hit = cache.get(delta)
+        hit = scored.get(delta)
         if hit is None:
             g2 = apply_delta(g, delta)
             part2 = detect(g2, detector)
             detections += 1
             sim2 = dice_similarity(reference, part2.community_members(u) - {u})
-            hit = cache[delta] = (sim2, g2, part2)
-        return hit
+            hit = scored[delta] = (sim2, g2, part2)
+        return hit[0]
 
-    p_hat = rng.uniform(-0.5, 0.5, n)
-    p_hat[u] = 0.0
-    m = np.zeros(n)
-    v = np.zeros(n)
-    adam_t = 0
+    def start() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """A fresh p_hat, and Adam's moments and step count zeroed."""
+        p_hat = rng.uniform(-0.5, 0.5, n)
+        p_hat[u] = 0.0
+        return p_hat, np.zeros(n), np.zeros(n), 0
+
+    p_hat, m, v, adam_t = start()
     g_acc = np.zeros(n)  # GAMMA-discounted gradient sum, kept across restarts
-
-    sim = 1.0
-    cur_graph = g
-    cur_part = partition
-    cur_delta = empty
-    best = (1.0, empty, g, partition)
-    restarts = 0
-    iterations = 0
-
-    while sim > config.tau and iterations < config.max_iter:
+    restarts = iterations = 0
+    # the first row that hides u is scored lower than every row before it
+    while scored[best][0] > config.tau and iterations < config.max_iter:
         iterations += 1
         grad = loss_gradient(p_hat, target_vec, row, config.lam, owner=u)
         g_acc = GAMMA * g_acc + grad
@@ -238,41 +235,26 @@ def hide(
         m_hat = m / (1.0 - ADAM_BETA1**adam_t)
         v_hat = v / (1.0 - ADAM_BETA2**adam_t)
         p_hat = np.tanh(p_hat - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        p = threshold(p_hat)
-        new_row = clamp_add(bits, u, p)
-        delta = delta_between(u, bits, new_row)
+        delta = delta_between(u, bits, clamp_add(bits, u, threshold(p_hat)))
         if delta.size > config.beta:
-            # over budget: drop the overlay and restart from a fresh sample
             restarts += 1
-            p_hat = rng.uniform(-0.5, 0.5, n)
-            p_hat[u] = 0.0
-            m = np.zeros(n)
-            v = np.zeros(n)
-            adam_t = 0
-            sim = 1.0
-            cur_graph, cur_part, cur_delta = g, partition, empty
-            continue
-        if delta != cur_delta:
-            sim, cur_graph, cur_part = evaluate(delta)
-            cur_delta = delta
-            if sim < best[0]:
-                best = (sim, delta, cur_graph, cur_part)
+            p_hat, m, v, adam_t = start()
+        elif score(delta) < scored[best][0]:
+            best = delta
 
-    if sim > config.tau:
-        sim, cur_delta, cur_graph, cur_part = best
     if config.exhaust_budget:
         g_bar = (1.0 - GAMMA) * g_acc
-        toggled = project_to_budget(bits, u, p_hat, g_bar, cur_delta.toggled, config)
-        cur_delta = EdgeDelta(u, toggled)
-        sim, cur_graph, cur_part = evaluate(cur_delta)
+        best = EdgeDelta(u, project_to_budget(bits, u, p_hat, g_bar, best.toggled, config))
+        score(best)
+    sim, graph, part = scored[best]
     return HidingOutcome(
         target=u,
         success=sim <= config.tau,
         similarity=sim,
-        deltas=(cur_delta,),
-        used_budget=cur_delta.size,
-        graph=cur_graph,
-        partition=cur_part,
+        deltas=(best,),
+        used_budget=best.size,
+        graph=graph,
+        partition=part,
         iterations=iterations,
         detections=detections,
         restarts=restarts,
@@ -293,11 +275,9 @@ def hide_projected(
     return hide(g, u, detector, replace(config, exhaust_budget=True), seed, scores, partition)
 
 
-def _ranked_fill(
-    scores_vec: np.ndarray, candidates: Iterable[int], count: int
-) -> list[int]:
-    ordered = sorted(candidates, key=lambda v: (-scores_vec[v], v))
-    return ordered[:count]
+def _ranked_fill(scores_vec: np.ndarray, candidates: np.ndarray, count: int) -> np.ndarray:
+    """The `count` candidates of highest score; ties go to the smaller id."""
+    return candidates[np.lexsort((candidates, -scores_vec[candidates]))[:count]]
 
 
 def _rounds_to_flip(
@@ -307,20 +287,12 @@ def _rounds_to_flip(
     blocked: np.ndarray,
 ) -> np.ndarray:
     """First round k >= 1 at which p_hat - k*step crosses into a bit flip."""
-    n = bits.size
-    k = np.full(n, np.inf)
-    add = bits == 0
-    rem = ~add
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = add & (step < 0)
-        if up.any():
-            k[up] = np.maximum(1.0, np.ceil((FLIP - p_hat[up]) / -step[up]))
-        down = rem & (step > 0)
-        if down.any():
-            k[down] = np.maximum(1.0, np.ceil((p_hat[down] + FLIP) / step[down]))
-    imm_add = add & (step >= 0) & (p_hat - step >= FLIP)
-    imm_rem = rem & (step <= 0) & (p_hat - step <= -FLIP)
-    k[imm_add | imm_rem] = 1.0
+    sign = np.where(bits == 0, 1.0, -1.0)  # the way p_hat must cross FLIP to flip a bit
+    rate = -sign * step  # progress toward that crossing per round
+    k = np.full(bits.size, np.inf)
+    moving = rate > 0
+    k[moving] = np.maximum(1.0, np.ceil((FLIP - sign[moving] * p_hat[moving]) / rate[moving]))
+    k[~moving & (sign * (p_hat - step) >= FLIP)] = 1.0  # past FLIP after one round anyway
     k[blocked] = np.inf
     return k
 
@@ -342,48 +314,29 @@ def project_to_budget(
     cannot reach are filled in by the same ranking at the end. bits is
     node u's adjacency row.
     """
-    n = bits.size
-    applied_set = set(applied)
-    budget_left = config.beta - len(applied_set)
+    budget_left = config.beta - len(applied)
     if budget_left <= 0:
-        return frozenset(applied_set)
-    p_hat = p_hat.astype(float).copy()
+        return applied
+    blocked = np.zeros(bits.size, dtype=bool)  # the owner and every committed flip
+    blocked[u] = True
+    blocked[list(applied)] = True
+    p_hat = p_hat.astype(float)
     step = config.eta * g_bar
-
-    def blocked_mask() -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[u] = True
-        if applied_set:
-            mask[list(applied_set)] = True
-        return mask
-
     if np.any(step):
         while budget_left > 0:
-            k = _rounds_to_flip(bits, p_hat, step, blocked_mask())
-            r = k.min()
+            r = _rounds_to_flip(bits, p_hat, step, blocked).min()
             if not np.isfinite(r):
                 break
             p_hat = p_hat - r * step
-            p = threshold(p_hat)
-            row = np.clip(bits + p.astype(np.int64), 0, 1)
-            fresh = [
-                v for v in np.flatnonzero(row != bits).tolist()
-                if v not in applied_set and v != u
-            ]
-            if not fresh:
+            fresh = np.flatnonzero((np.clip(bits + threshold(p_hat), 0, 1) != bits) & ~blocked)
+            if not fresh.size:
                 break
-            if len(fresh) <= budget_left:
-                applied_set.update(fresh)
-                budget_left -= len(fresh)
-            else:
-                strength = np.abs(p_hat) * np.abs(g_bar)
-                applied_set.update(_ranked_fill(strength, fresh, budget_left))
-                budget_left = 0
+            if fresh.size > budget_left:
+                fresh = _ranked_fill(np.abs(p_hat) * np.abs(g_bar), fresh, budget_left)
+            blocked[fresh] = True
+            budget_left -= fresh.size
     if budget_left > 0:
-        untouched = [v for v in range(n) if v != u and v not in applied_set]
-        if np.any(g_bar):
-            strength = np.abs(p_hat) * np.abs(g_bar)
-        else:
-            strength = np.abs(p_hat)
-        applied_set.update(_ranked_fill(strength, untouched, budget_left))
-    return frozenset(applied_set)
+        strength = np.abs(p_hat) * np.abs(g_bar) if np.any(g_bar) else np.abs(p_hat)
+        blocked[_ranked_fill(strength, np.flatnonzero(~blocked), budget_left)] = True
+    blocked[u] = False
+    return frozenset(np.flatnonzero(blocked).tolist())

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cmhide import DetectorSpec, detect, load_fixture
+from cmhide import DetectorSpec, Partition, detect, load_fixture
 from cmhide.graph import Graph
 
 
@@ -90,3 +92,38 @@ def set_partitions(items):
         for i in range(len(smaller)):
             yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1 :]
         yield [[first]] + smaller
+
+
+def brute_modularity(g: Graph, part: Partition) -> float:
+    """Newman's double sum over all ordered node pairs; 0 on an edgeless graph."""
+    if g.m == 0:
+        return 0.0
+    member = part.membership(g.n)
+    two_m = 2.0 * g.m
+    q = 0.0
+    for i in range(g.n):
+        for j in range(g.n):
+            if member[i] != member[j]:
+                continue
+            a = 1.0 if i != j and g.has_edge(i, j) else 0.0
+            q += a - g.degree(i) * g.degree(j) / two_m
+    return q / two_m
+
+
+def brute_nmi(a, b) -> float:
+    """NMI from the contingency counts: mutual information over the mean entropy."""
+    n = len(a)
+    ca, cb = Counter(a), Counter(b)
+    joint = Counter(zip(a, b))
+    ha = -sum(c / n * math.log(c / n) for c in ca.values())
+    hb = -sum(c / n * math.log(c / n) for c in cb.values())
+    if ha == 0.0 and hb == 0.0:
+        return 1.0
+    info = sum(
+        c / n * math.log((c / n) / (ca[x] / n * cb[y] / n))
+        for (x, y), c in joint.items()
+    )
+    denom = 0.5 * (ha + hb)
+    if denom == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, info / denom))

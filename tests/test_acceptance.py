@@ -5,11 +5,8 @@ through the capsys bypass) before asserting, so a full run always shows
 the per-criterion scoreboard.
 """
 
-import itertools
 import json
-import math
 import time
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +34,8 @@ from cmhide.gradient import dice_similarity, loss_gradient, loss_value
 from cmhide.graph import Graph
 from cmhide.scoring import betweenness
 
+from conftest import brute_modularity, brute_nmi, random_graph, set_partitions
+
 ORACLE_TOL = 1e-10
 
 
@@ -54,26 +53,6 @@ def small_graph(n: int, edge_bits: int) -> Graph:
     return Graph(
         [(str(a), str(b)) for a, b in edges], node_labels=[str(v) for v in range(n)]
     )
-
-
-def random_small_graph(n: int, seed: int) -> Graph:
-    rng = np.random.default_rng(seed)
-    edges = [e for e in combinations(range(n), 2) if rng.random() < 0.45]
-    return Graph(
-        [(str(a), str(b)) for a, b in edges], node_labels=[str(v) for v in range(n)]
-    )
-
-
-def set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for smaller in set_partitions(rest):
-        for i in range(len(smaller)):
-            yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1 :]
-        yield [[first]] + smaller
 
 
 def brute_pagerank(g: Graph, damping: float = 0.85) -> np.ndarray:
@@ -117,39 +96,6 @@ def brute_betweenness(g: Graph) -> np.ndarray:
             for v in p[1:-1]:
                 bc[v] += 1.0 / len(paths)
     return bc
-
-
-def brute_modularity(g: Graph, part: Partition) -> float:
-    if g.m == 0:
-        return 0.0
-    member = part.membership(g.n)
-    two_m = 2.0 * g.m
-    q = 0.0
-    for i in range(g.n):
-        for j in range(g.n):
-            if member[i] != member[j]:
-                continue
-            a = 1.0 if i != j and g.has_edge(i, j) else 0.0
-            q += a - g.degree(i) * g.degree(j) / two_m
-    return q / two_m
-
-
-def brute_nmi(a, b) -> float:
-    n = len(a)
-    ca, cb = Counter(a), Counter(b)
-    joint = Counter(zip(a, b))
-    ha = -sum(c / n * math.log(c / n) for c in ca.values())
-    hb = -sum(c / n * math.log(c / n) for c in cb.values())
-    if ha == 0.0 and hb == 0.0:
-        return 1.0
-    info = sum(
-        c / n * math.log((c / n) / (ca[x] / n * cb[y] / n))
-        for (x, y), c in joint.items()
-    )
-    denom = 0.5 * (ha + hb)
-    if denom == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, info / denom))
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +142,7 @@ def test_criterion_1_metric_oracles(capsys):
 
     graphs = [small_graph(n, bits) for n in (2, 3) for bits in range(2 ** (n * (n - 1) // 2))]
     graphs += [small_graph(4, int(b)) for b in rng.integers(0, 64, 30)]
-    graphs += [random_small_graph(n, seed) for n in (5, 6, 7, 8) for seed in range(7)]
+    graphs += [random_graph(n, 0.45, seed) for n in (5, 6, 7, 8) for seed in range(7)]
     graphs += [
         Graph([(str(i), str(i + 1)) for i in range(7)]),  # path
         Graph([("0", str(i)) for i in range(1, 8)]),  # star

@@ -196,6 +196,9 @@ HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
 
 KAR_AS_FILE = {"eta": 0.079, "lam": 1.71, "max_iter": 120, "weights": [0.33, 0.20, 0.21, 0.24]}
 
+# one grid cell, few targets: a spec case wrongly accepted runs in a moment
+ONE_CELL = {"methods": ["dice"], "taus": [0.5], "beta_factors": [1.0], "max_targets": 1}
+
 BAD_INPUTS = {
     "config value": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"tau": "x"})),
     "partition label": lambda tmp: (
@@ -332,8 +335,20 @@ BAD_INPUTS = {
             "nmi_variant": {"nmi_variant": "arithmetic"},
             "config seed": {"config": {"seed": 5}},  # attack seeds derive from the spec's seed
             "preset false": {"preset": False},
+            "methods empty": {"methods": []},
+            "taus empty": {"taus": []},
+            "beta_factors empty": {"beta_factors": []},
+            # the method name alone sets exhaust_budget
+            "config exhaust_budget": {"config": {"exhaust_budget": True}, **ONE_CELL},
+            **{
+                f"{name} repeated": {**ONE_CELL, name: ONE_CELL[name] * 2}
+                for name in ("methods", "taus", "beta_factors")
+            },
         }.items()
     },
+    "config exhaust_budget": lambda tmp: HIDE_9 + (
+        "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"exhaust_budget": True}),
+    ),
     "config exhaust_budget string": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"exhaust_budget": "false"}),
     ),
@@ -356,6 +371,9 @@ UNKNOWN_KEYS = {
     "spec config seed": ("config", "seed"),
     "spec detector resolution": ("detector", "resolution"),
     "spec nmi_variant": ("spec", "nmi_variant"),
+    "config exhaust_budget": ("config", "exhaust_budget"),
+    "config exhaust_budget string": ("config", "exhaust_budget"),
+    "spec config exhaust_budget": ("config", "exhaust_budget"),
 }
 
 
@@ -393,8 +411,12 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
         HIDE_9 + ("--algo", "labelprop"),
         ("detect", "--graph", "kar", "--resolution", "1"),
         HIDE_9 + ("--algo", "louvain", "--resolution", "1"),
+        ("benchmark", "--spec", "spec.json", "--out", "out", "--seed", "1"),
     ],
-    ids=["detect labelprop", "hide labelprop", "detect resolution", "hide resolution"],
+    ids=[
+        "detect labelprop", "hide labelprop", "detect resolution", "hide resolution",
+        "benchmark seed",
+    ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -478,10 +500,10 @@ def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):
     report = json.loads((out_dir / "report.json").read_text("utf-8"))
     assert report["meta"]["seed"] == 0
     assert (out_dir / "records.csv").exists()
+    spec.write_text(spec.read_text("utf-8").replace('"seed": 0', '"seed": 5'), "utf-8")
     rc2, _, _ = run_cli(
-        capsys, "benchmark", "--spec", str(spec), "--out", str(tmp_path / "b2"),
-        "--jobs", "1", "--seed", "5",
+        capsys, "benchmark", "--spec", str(spec), "--out", str(tmp_path / "b2"), "--jobs", "1"
     )
     assert rc2 == 0
     report2 = json.loads((tmp_path / "b2" / "report.json").read_text("utf-8"))
-    assert report2["meta"]["seed"] == 5  # flag overrides the spec file
+    assert report2["meta"]["seed"] == 5  # the spec's seed is the master seed

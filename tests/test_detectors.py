@@ -10,20 +10,9 @@ from cmhide import ConfigError, DetectorSpec, EdgeDelta, Partition, apply_delta,
 from cmhide.detectors import modularity
 from cmhide.graph import Graph
 
-from conftest import graph_from_edges, planted_blocks, random_graph, set_partitions
-
-
-def brute_modularity(g, partition):
-    """Direct double-sum over all ordered node pairs."""
-    m2 = 2.0 * g.m
-    total = 0.0
-    for i in range(g.n):
-        for j in range(g.n):
-            if partition.community_of(i) != partition.community_of(j):
-                continue
-            a_ij = 1.0 if g.has_edge(i, j) else 0.0
-            total += a_ij - g.degree(i) * g.degree(j) / m2
-    return total / m2
+from conftest import (
+    brute_modularity, graph_from_edges, planted_blocks, random_graph, set_partitions,
+)
 
 
 def partition_of(blocks) -> Partition:

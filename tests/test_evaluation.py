@@ -3,7 +3,6 @@ import json
 import math
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,23 +35,7 @@ from cmhide.evaluation import (
 from cmhide import baselines, detectors, evaluation, gradient, scoring
 from cmhide.graph import Graph
 
-
-def brute_nmi(a, b):
-    n = len(a)
-    ca, cb = Counter(a), Counter(b)
-    joint = Counter(zip(a, b))
-    ha = -sum(c / n * math.log(c / n) for c in ca.values())
-    hb = -sum(c / n * math.log(c / n) for c in cb.values())
-    if ha == 0.0 and hb == 0.0:
-        return 1.0
-    info = sum(
-        c / n * math.log((c / n) / (ca[x] / n * cb[y] / n))
-        for (x, y), c in joint.items()
-    )
-    denom = 0.5 * (ha + hb)
-    if denom == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, info / denom))
+from conftest import brute_nmi
 
 
 def test_nmi_boundary_cases():
@@ -203,6 +186,12 @@ def test_experiment_spec_validation():
             ExperimentSpec(**kwargs)
     with pytest.raises(ConfigError, match="mu_plus_one must be true or false"):
         ExperimentSpec(mu_plus_one="false")
+    for axis in (dict(methods=()), dict(taus=[]), dict(beta_factors=())):
+        with pytest.raises(ConfigError, match=f"{next(iter(axis))} must list one or more"):
+            ExperimentSpec(**axis)
+    for axis in (dict(methods=("dice", "dice")), dict(taus=(0.5, 0.5)), dict(beta_factors=(1, 1.0))):
+        with pytest.raises(ConfigError, match=f"{next(iter(axis))} must list one or more distinct"):
+            ExperimentSpec(**axis)
     for fractions in ((), (float("nan"),), (0.0,), (0.5, 1.5)):
         with pytest.raises(ConfigError, match="fractions"):
             ExperimentSpec(fractions=fractions)
@@ -409,3 +398,15 @@ def test_attack_rejects_a_bad_seed(kar, greedy, seed):
         cmhide.hide(kar, 9, greedy, config, seed=seed)
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
         cmhide.run_baseline("random", kar, 9, greedy, config, seed=seed)
+
+
+def test_method_name_alone_picks_projection(kar, greedy):
+    config = get_preset("kar").config(tau=0.5, beta=3)
+    u = kar.id_of("9")
+    projecting = replace(config, exhaust_budget=True)
+    plain = evaluation.attack("gradient", kar, u, greedy, config, seed=7)
+    assert evaluation.attack("gradient", kar, u, greedy, projecting, seed=7) == plain
+    projected = evaluation.attack("gradient_projected", kar, u, greedy, config, seed=7)
+    assert projected == evaluation.attack("gradient_projected", kar, u, greedy, projecting, seed=7)
+    assert projected == gradient.hide_projected(kar, u, greedy, config, seed=7)
+    assert projected.used_budget == 3 > plain.used_budget

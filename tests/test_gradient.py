@@ -5,6 +5,7 @@ import pytest
 
 from cmhide import (
     ConfigError,
+    DetectorSpec,
     EdgeDelta,
     HidingConfig,
     SingletonCommunityError,
@@ -22,6 +23,7 @@ from cmhide.gradient import (
     project_to_budget,
     threshold,
 )
+from cmhide import gradient
 from cmhide.graph import Graph
 
 
@@ -329,3 +331,36 @@ def test_hide_reuses_supplied_partition(kar, greedy, kar_partition):
     assert with_part.similarity == without.similarity
     assert with_part.partition == without.partition
     assert with_part.detections == without.detections - 1
+
+
+def test_hide_detects_each_row_once_and_counts_every_call(kar, monkeypatch):
+    calls = []
+
+    def counting_detect(g, spec):
+        calls.append(g)
+        return detect(g, spec)
+
+    monkeypatch.setattr(gradient, "detect", counting_detect)
+    u = kar.id_of("9")
+    kar_config = get_preset("kar").config(tau=0.5, beta=3)
+    configs = [
+        kar_config,
+        replace(kar_config, tau=0.01, max_iter=3),  # fails, then projects
+        replace(kar_config, tau=0.01, beta=2, max_iter=40),  # restarts
+    ]
+    restarted = projected_after_failure = False
+    for algo in ("greedy", "louvain", "label_propagation"):
+        for config in configs:
+            for exhaust in (False, True):
+                for seed in (3, 7):
+                    calls.clear()
+                    outcome = hide(
+                        kar, u, DetectorSpec(algo), replace(config, exhaust_budget=exhaust),
+                        seed=seed,
+                    )
+                    assert outcome.detections == len(calls)
+                    distinct = {frozenset(g.edges()) for g in calls}
+                    assert len(distinct) == len(calls)
+                    restarted |= outcome.restarts > 0 and outcome.detections > 1
+                    projected_after_failure |= exhaust and outcome.iterations == config.max_iter
+    assert restarted and projected_after_failure
