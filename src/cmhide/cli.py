@@ -25,11 +25,12 @@ from .errors import CmhideError, ConfigError, EdgeListParseError
 from .evaluation import (
     ALL_METHODS,
     ExperimentSpec,
+    SummaryRow,
+    TargetRecord,
     attack,
     report_to_json,
     run_experiment,
-    write_records_csv,
-    write_summary_csv,
+    write_csv,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .gradient import HidingConfig, HidingOutcome
@@ -219,9 +220,9 @@ def _cmd_benchmark(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", "utf-8")
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        write_summary_csv(report.summary, fh)
+        write_csv(SummaryRow, report.summary, fh)
     with open(out_dir / "records.csv", "w", newline="", encoding="utf-8") as fh:
-        write_records_csv(report.records, fh)
+        write_csv(TargetRecord, report.records, fh)
     if args.verbose:
         for row in report.summary:
             print(

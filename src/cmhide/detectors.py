@@ -20,6 +20,7 @@ from .schema import check_types
 DETECTOR_NAMES = ("greedy", "louvain", "label_propagation")
 
 _EPS_GAIN = 1e-12
+_LPA_MAX_SWEEPS = 100  # label propagation stops here if labels still change
 
 
 @dataclass(frozen=True)
@@ -224,11 +225,11 @@ def _louvain(g: Graph, seed: int) -> Partition:
         adj, loops, carry = new_adj, new_loops, new_carry
 
 
-def _label_propagation(g: Graph, seed: int, max_sweeps: int = 100) -> Partition:
+def _label_propagation(g: Graph, seed: int) -> Partition:
     """Asynchronous label propagation with seeded sweep order."""
     rng = np.random.default_rng(seed)
     labels = list(range(g.n))
-    for _ in range(max_sweeps):
+    for _ in range(_LPA_MAX_SWEEPS):
         changed = False
         for v in rng.permutation(g.n):
             v = int(v)

@@ -10,6 +10,7 @@ and independent of worker scheduling.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -25,10 +26,25 @@ from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
 from .graph import Graph
 from .schema import check_types
 from .scoring import StructuralScores, pagerank, structural_scores
-from .seeding import derive_seed
 
 GRADIENT_METHODS = ("gradient", "gradient_projected")
 ALL_METHODS = GRADIENT_METHODS + BASELINE_NAMES
+
+# each run's targets come from the communities sized nearest these
+# fractions of the largest one
+TARGET_FRACTIONS = (0.3, 0.5, 0.8)
+
+
+def derive_seed(master: int, *parts) -> int:
+    """Stable 63-bit seed from a master seed and a key tuple.
+
+    Each randomised piece of a run (target sampling, every attack) seeds
+    from its own key, so results do not depend on the order cells run in
+    or on the number of workers.
+    """
+    key = repr((int(master),) + tuple(parts)).encode()
+    digest = hashlib.sha256(key).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
@@ -81,17 +97,12 @@ def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
     return max(1, math.floor(mu * factor))
 
 
-def sample_targets(
-    partition: Partition,
-    seed: int,
-    fractions: Sequence[float] = (0.3, 0.5, 0.8),
-    cap: int = 100,
-) -> tuple[int, ...]:
+def sample_targets(partition: Partition, seed: int, cap: int) -> tuple[int, ...]:
     """Pick target nodes from communities sized near fractions of the largest.
 
-    For each fraction, the non-singleton community whose size is closest to
-    fraction * (largest community size) is chosen (ties to the earlier
-    community) and up to `cap` of its members are sampled without
+    For each of TARGET_FRACTIONS, the non-singleton community whose size is
+    closest to fraction * (largest community size) is chosen (ties to the
+    earlier community) and up to `cap` of its members are sampled without
     replacement. Duplicates across fractions are dropped.
     """
     comms = partition.communities
@@ -102,7 +113,7 @@ def sample_targets(
     rng = np.random.default_rng(seed)
     targets: list[int] = []
     seen: set[int] = set()
-    for frac in fractions:
+    for frac in TARGET_FRACTIONS:
         want = frac * largest
         pick = min(eligible, key=lambda i: (abs(len(comms[i]) - want), i))
         members = np.array(sorted(comms[pick]))
@@ -151,7 +162,6 @@ class ExperimentSpec:
     eval_detector: DetectorSpec | None = None
     config: HidingConfig = HidingConfig()
     mu_plus_one: bool = False
-    fractions: tuple[float, ...] = (0.3, 0.5, 0.8)
     max_targets: int = 100
     jobs: int = 1
 
@@ -173,10 +183,6 @@ class ExperimentSpec:
             replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
         for factor in self.beta_factors:
             _check_budget_factor(factor)
-        if not self.fractions or not all(0.0 < f <= 1.0 for f in self.fractions):
-            raise ConfigError(
-                f"fractions must be one or more values in (0, 1], got {self.fractions!r}"
-            )
 
     @property
     def effective_eval_detector(self) -> DetectorSpec:
@@ -284,8 +290,7 @@ def _run_cell(
     eval_det = spec.effective_eval_detector
     same_detector = eval_det == spec.detector
     targets = sample_targets(
-        inv.part_attack, derive_seed(spec.seed, "targets", run),
-        fractions=spec.fractions, cap=spec.max_targets,
+        inv.part_attack, derive_seed(spec.seed, "targets", run), spec.max_targets
     )
     records: list[TargetRecord] = []
     for method in spec.methods:
@@ -304,7 +309,10 @@ def _run_cell(
                 part_eval_after = inv.part_eval
             else:
                 part_eval_after = detect(outcome.graph, eval_det)
-            sim_eval = _dice_of(inv.part_eval, part_eval_after, u)
+            sim_eval = dice_similarity(
+                inv.part_eval.community_members(u) - {u},
+                part_eval_after.community_members(u) - {u},
+            )
             nmi_val = nmi(inv.labels_before, part_eval_after.membership(g.n))
             records.append(
                 TargetRecord(
@@ -327,12 +335,6 @@ def _run_cell(
                 )
             )
     return records
-
-
-def _dice_of(before: Partition, after: Partition, u: int) -> float:
-    return dice_similarity(
-        before.community_members(u) - {u}, after.community_members(u) - {u}
-    )
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -448,33 +450,13 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
     return Report(records=records, summary=summary, meta=meta)
 
 
-SUMMARY_COLUMNS = (
-    "method", "tau", "beta", "sr_mean", "sr_std", "nmi_mean", "nmi_std",
-    "f1_mean", "f1_std", "used_budget_mean", "pagerank_mean", "wall_ms_mean",
-)
-
-
-def write_summary_csv(rows: Sequence[SummaryRow], sink: IO[str]) -> None:
-    writer = csv.writer(sink)
-    writer.writerow(SUMMARY_COLUMNS)
-    for row in rows:
-        wall_ms = 1000.0 * row.wall_seconds / row.targets if row.targets else 0.0
-        cells = (
-            row.method, row.tau, row.beta, row.sr_mean, row.sr_std,
-            row.nmi_mean, row.nmi_std, row.f1_mean, row.f1_std,
-            row.used_mean, row.counterpart_pr_mean, wall_ms,
-        )
-        writer.writerow([_fmt(c) for c in cells])
-
-
-def write_records_csv(records: Sequence[TargetRecord], sink: IO[str]) -> None:
-    cols = [f.name for f in fields(TargetRecord)]
+def write_csv(row_type: type, rows: Sequence, sink: IO[str]) -> None:
+    """Rows of a dataclass (TargetRecord or SummaryRow), one column per field."""
+    cols = [f.name for f in fields(row_type)]
     writer = csv.writer(sink)
     writer.writerow(cols)
-    for r in records:
-        d = asdict(r)
-        d["counterparts"] = ";".join(str(v) for v in r.counterparts)
-        writer.writerow([_fmt(d[c]) for c in cols])
+    for row in rows:
+        writer.writerow([_fmt(getattr(row, c)) for c in cols])
 
 
 def _fmt(value) -> str:
@@ -482,6 +464,8 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, float):
         return format(value, ".12g")
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
     return str(value)
 
 

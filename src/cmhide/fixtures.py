@@ -9,11 +9,8 @@ from .graph import Graph, load_edge_list
 FIXTURE_NAMES = ("kar", "barbell", "cliques")
 
 
-def fixture_text(name: str) -> str:
+def load_fixture(name: str) -> Graph:
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")
-    return resources.files(__package__).joinpath(f"fixtures/{name}.txt").read_text()
-
-
-def load_fixture(name: str) -> Graph:
-    return load_edge_list(fixture_text(name))
+    path = resources.files(__package__).joinpath(f"fixtures/{name}.txt")
+    return load_edge_list(path.read_text())

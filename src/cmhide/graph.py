@@ -44,10 +44,8 @@ class EdgeDelta:
 class LoadStats:
     """Normalisation counters from edge-list ingestion."""
 
-    edges: int = 0
     duplicate_lines: int = 0
     self_loops_dropped: int = 0
-    comment_lines: int = 0
 
 
 class Graph:
@@ -235,10 +233,7 @@ def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, Loa
     pairs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line[0] in "#%":
-            stats.comment_lines += 1
+        if not line or line[0] in "#%":
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -258,21 +253,9 @@ def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, Loa
         pairs.add(key)
     if not pairs:
         raise EdgeListParseError("edge list contains no edges")
-    stats.edges = len(pairs)
     return Graph._from_id_pairs(ids, pairs), stats
 
 
 def load_edge_list(source: Union[IO, str, bytes]) -> Graph:
     graph, _ = load_edge_list_with_stats(source)
     return graph
-
-
-def dump_edge_list(g: Graph, sink: IO[str]) -> None:
-    """Deterministic serialisation: min label first per edge, sorted lines."""
-    lines = []
-    for u, v in g.edges():
-        a, b = g.label_of(u), g.label_of(v)
-        if b < a:
-            a, b = b, a
-        lines.append(f"{a} {b}\n")
-    sink.writelines(sorted(lines))

@@ -22,6 +22,10 @@ PROPERTY_NAMES = ("betweenness", "degree", "intra_degree", "inter_degree")
 
 DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)
 
+# PageRank follows a link with probability 0.85 (Brin & Page 1998) and stops
+# once a step moves the vector less than the tolerance in L1 norm
+PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITER = 0.85, 1e-10, 5000
+
 
 # Sources per betweenness pass. A pass holds O(_BLOCK * m) temporaries, one
 # entry per (source, arc) pair, and pays a fixed numpy overhead per
@@ -129,9 +133,7 @@ def betweenness(g: Graph) -> np.ndarray:
     return bc / 2.0
 
 
-def pagerank(
-    g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 5000
-) -> np.ndarray:
+def pagerank(g: Graph) -> np.ndarray:
     """Power-iteration PageRank with uniform teleport; sums to 1."""
     n = g.n
     if n == 0:
@@ -140,19 +142,19 @@ def pagerank(
     deg = np.diff(indptr)
     rows = np.repeat(np.arange(n), deg)
     x = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
+    base = (1.0 - PAGERANK_DAMPING) / n
     dangling = deg == 0
     nonzero = ~dangling
     inv_deg = np.zeros(n)
     inv_deg[nonzero] = 1.0 / deg[nonzero]
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         share = x * inv_deg
-        nxt = np.full(n, base + damping * x[dangling].sum() / n)
-        nxt += damping * np.bincount(rows, weights=share[indices], minlength=n)
-        if np.abs(nxt - x).sum() < tol:
+        nxt = np.full(n, base + PAGERANK_DAMPING * x[dangling].sum() / n)
+        nxt += PAGERANK_DAMPING * np.bincount(rows, weights=share[indices], minlength=n)
+        if np.abs(nxt - x).sum() < PAGERANK_TOL:
             return nxt
         x = nxt
-    raise ArithmeticError(f"pagerank failed to converge within {max_iter} iterations")
+    raise ArithmeticError(f"pagerank failed to converge within {PAGERANK_MAX_ITER} iterations")
 
 
 def community_degrees(g: Graph, partition: Partition) -> tuple[np.ndarray, np.ndarray]:

@@ -151,7 +151,7 @@ def test_criterion_1_metric_oracles(capsys):
     ]
     greedy = DetectorSpec("greedy")
     for g in graphs:
-        max_err = max(max_err, float(np.abs(pagerank(g, tol=1e-12) - brute_pagerank(g)).max()))
+        max_err = max(max_err, float(np.abs(pagerank(g) - brute_pagerank(g)).max()))
         max_err = max(max_err, float(np.abs(betweenness(g) - brute_betweenness(g)).max()))
         if g.n <= 4:
             parts = [Partition.from_communities(p) for p in set_partitions(range(g.n))]
@@ -424,7 +424,7 @@ def test_criterion_9_parallel_determinism(capsys, tmp_path):
             ["benchmark", "--spec", str(spec), "--out", str(out_dir), "--jobs", str(jobs)]
         )
         assert rc == 0
-        summary = strip_wall((out_dir / "summary.csv").read_text("utf-8"), ("wall_ms_mean",))
+        summary = strip_wall((out_dir / "summary.csv").read_text("utf-8"), ("wall_seconds",))
         records = strip_wall(
             (out_dir / "records.csv").read_text("utf-8"), ("wall_seconds",)
         )

@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from cmhide import ALL_METHODS, DetectorSpec, get_preset, load_fixture, pagerank
 from cmhide.cli import main
-from cmhide.evaluation import SUMMARY_COLUMNS, attack
+from cmhide.evaluation import attack
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -321,8 +326,7 @@ BAD_INPUTS = {
             "config max_iter not integral": {"config": {"max_iter": 2.7}},
             "config seed not integral": {"config": {"seed": 0.5}},
             "detector seed not integral": {"detector": {"algo": "louvain", "seed": 1.5}},
-            "fractions nan": {"fractions": ["nan"]},
-            "fractions empty": {"fractions": []},
+            "fractions": {"fractions": [0.3, 0.5, 0.8]},  # the target fractions are fixed
             "mu_plus_one string": {"mu_plus_one": "false"},
             "key misspelt": {"run": 5},
             "runs written as float": {"runs": 2.0},
@@ -371,6 +375,7 @@ UNKNOWN_KEYS = {
     "spec config seed": ("config", "seed"),
     "spec detector resolution": ("detector", "resolution"),
     "spec nmi_variant": ("spec", "nmi_variant"),
+    "spec fractions": ("spec", "fractions"),
     "config exhaust_budget": ("config", "exhaust_budget"),
     "config exhaust_budget string": ("config", "exhaust_budget"),
     "spec config exhaust_budget": ("config", "exhaust_budget"),
@@ -495,8 +500,7 @@ def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):
     assert rc == 0
     assert out.strip() == str(out_dir / "summary.csv")
     summary = (out_dir / "summary.csv").read_text("utf-8").splitlines()
-    assert summary[0] == ",".join(SUMMARY_COLUMNS)
-    assert len(summary) == 3  # one row per method
+    assert len(summary) == 3  # a header and one row per method
     report = json.loads((out_dir / "report.json").read_text("utf-8"))
     assert report["meta"]["seed"] == 0
     assert (out_dir / "records.csv").exists()
@@ -507,3 +511,20 @@ def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):
     assert rc2 == 0
     report2 = json.loads((tmp_path / "b2" / "report.json").read_text("utf-8"))
     assert report2["meta"]["seed"] == 5  # the spec's seed is the master seed
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    quick = README.read_text("utf-8").split("## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    shell, python = re.findall(r"```(?:sh|python)\n(.*?)```", quick, re.S)
+    hide_line = "cmhide hide --graph kar --target 9 "
+    commands = [line for line in shell.splitlines() if line.startswith("cmhide ")]
+    assert any(line.startswith(hide_line) for line in commands)
+    for line in commands:
+        rc, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert rc == 0, (line, err)
+        if line.startswith(hide_line):
+            shown = json.loads(out)
+    exec(compile(python, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    # the Python block runs the same search as the command line
+    assert printed[:2] == [str(shown["success"]), str(shown["similarity"])]

@@ -3,7 +3,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,12 @@ from cmhide import (
     run_experiment,
 )
 from cmhide.evaluation import (
-    SUMMARY_COLUMNS,
+    SummaryRow,
     TargetRecord,
     report_to_json,
     sample_targets,
     summarise,
-    write_records_csv,
-    write_summary_csv,
+    write_csv,
 )
 from cmhide import baselines, detectors, evaluation, gradient, scoring
 from cmhide.graph import Graph
@@ -84,34 +83,35 @@ def test_budget_scales_with_mean_degree(kar):
             budget_for(kar, factor)
 
 
+# blocks of 10, 8, 5, 3 and 4 members: 30/50/80 percent of the largest
+# want 3, 5 and 8, which the 3-, 5- and 8-member blocks match exactly
+SIZED_BLOCKS = [
+    list(range(10)), list(range(10, 18)), list(range(18, 23)), [23, 24, 25], list(range(26, 30))
+]
+
+
 def test_sample_targets_picks_closest_sized_communities():
-    part = Partition.from_communities(
-        [list(range(6)), [6, 7, 8], [9, 10]]
-    )
-    targets = sample_targets(part, seed=0, fractions=(0.3, 0.5, 0.8))
-    # wanted sizes 1.8 / 3.0 / 4.8 resolve to the 2-, 3- and 6-member blocks
-    assert set(targets) == set(range(11))
-    assert len(targets) == len(set(targets)) == 11
+    targets = sample_targets(Partition.from_communities(SIZED_BLOCKS), seed=0, cap=100)
+    assert sorted(targets) == list(range(10, 26))
+    assert sample_targets(Partition.from_communities(SIZED_BLOCKS), seed=0, cap=100) == targets
 
 
 def test_sample_targets_breaks_size_ties_toward_earlier_community():
+    # wanted sizes 1.2 and 2.0 tie between the two pairs; 3.2 picks the four
     part = Partition.from_communities([[0, 1, 2, 3], [4, 5], [6, 7]])
-    targets = sample_targets(part, seed=1, fractions=(0.5,))
-    assert set(targets) <= {4, 5}
+    assert set(sample_targets(part, seed=1, cap=100)) == set(range(6))
 
 
 def test_sample_targets_caps_skips_singletons_and_dedupes():
+    capped = sample_targets(Partition.from_communities(SIZED_BLOCKS), seed=5, cap=2)
+    assert len(capped) == 6
+    for block in SIZED_BLOCKS[1:4]:
+        assert len(set(capped) & set(block)) == 2
+    # every fraction picks the one block with two or more members
     part = Partition.from_communities([list(range(8)), [8]])
-    capped = sample_targets(part, seed=5, fractions=(0.5,), cap=3)
-    assert len(capped) == 3
-    assert set(capped) <= set(range(8))  # the singleton is never eligible
-    doubled = sample_targets(part, seed=5, fractions=(0.5, 0.5))
-    assert len(doubled) == len(set(doubled)) == 8
-    assert sample_targets(part, seed=5, fractions=(0.5,)) == sample_targets(
-        part, seed=5, fractions=(0.5,)
-    )
+    assert sorted(sample_targets(part, seed=5, cap=100)) == list(range(8))
     singletons = Partition.from_communities([[0], [1], [2]])
-    assert sample_targets(singletons, seed=0) == ()
+    assert sample_targets(singletons, seed=0, cap=100) == ()
 
 
 def mk_record(run, target, success, similarity, used, nmi_val, counterparts, wall):
@@ -181,7 +181,7 @@ def test_experiment_spec_validation():
             ExperimentSpec(**{name: 1.5})
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             ExperimentSpec(**{name: True})
-    for kwargs in (dict(taus=("0.5",)), dict(beta_factors=(True,)), dict(fractions="0.5")):
+    for kwargs in (dict(taus=("0.5",)), dict(beta_factors=(True,))):
         with pytest.raises(ConfigError, match="must be a"):
             ExperimentSpec(**kwargs)
     with pytest.raises(ConfigError, match="mu_plus_one must be true or false"):
@@ -192,9 +192,6 @@ def test_experiment_spec_validation():
     for axis in (dict(methods=("dice", "dice")), dict(taus=(0.5, 0.5)), dict(beta_factors=(1, 1.0))):
         with pytest.raises(ConfigError, match=f"{next(iter(axis))} must list one or more distinct"):
             ExperimentSpec(**axis)
-    for fractions in ((), (float("nan"),), (0.0,), (0.5, 1.5)):
-        with pytest.raises(ConfigError, match="fractions"):
-            ExperimentSpec(fractions=fractions)
     spec = ExperimentSpec(detector=DetectorSpec("greedy"))
     assert spec.effective_eval_detector == spec.detector
     louvain = ExperimentSpec(eval_detector=DetectorSpec("louvain"))
@@ -291,29 +288,32 @@ def test_import_leaves_process_pools_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_summary_csv_uses_pinned_columns(cliques, cliques_report):
-    _, report = cliques_report
-    sink = io.StringIO()
-    write_summary_csv(report.summary, sink)
-    lines = sink.getvalue().strip().splitlines()
-    assert lines[0] == ",".join(SUMMARY_COLUMNS)
-    assert lines[0].endswith("used_budget_mean,pagerank_mean,wall_ms_mean")
-    assert len(lines) == len(report.summary) + 1
-    first = lines[1].split(",")
-    row = report.summary[0]
-    assert first[0] == row.method
-    assert float(first[1]) == row.tau
-    assert int(first[2]) == row.beta
-    assert float(first[3]) == pytest.approx(row.sr_mean)
-    assert float(first[-1]) == pytest.approx(
-        1000.0 * row.wall_seconds / row.targets
+def test_summary_csv_tells_budget_factors_apart(kar):
+    # with the kar preset both factors floor to beta = 1; only beta_factor
+    # tells the two rows apart
+    preset = get_preset("kar")
+    spec = ExperimentSpec(
+        methods=("dice",), taus=(0.5,), beta_factors=(0.4, 0.5), runs=1,
+        config=preset.config(), mu_plus_one=preset.mu_plus_one, max_targets=3,
     )
+    report = run_experiment(kar, spec)
+    sink = io.StringIO()
+    write_csv(SummaryRow, report.summary, sink)
+    header, *lines = sink.getvalue().splitlines()
+    assert header.split(",") == [f.name for f in fields(SummaryRow)]
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [(r["beta_factor"], r["beta"]) for r in rows] == [("0.4", "1"), ("0.5", "1")]
+    for row, cells in zip(report.summary, rows):
+        for f in fields(SummaryRow):
+            value = getattr(row, f.name)
+            expected = pytest.approx(value, rel=1e-11) if isinstance(value, float) else value
+            assert type(value)(cells[f.name]) == expected, f.name
 
 
 def test_records_csv_round_trips(cliques_report):
     _, report = cliques_report
     sink = io.StringIO()
-    write_records_csv(report.records, sink)
+    write_csv(TargetRecord, report.records, sink)
     lines = sink.getvalue().strip().splitlines()
     assert lines[0].startswith("run,method,tau,")
     assert len(lines) == len(report.records) + 1

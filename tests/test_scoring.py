@@ -153,7 +153,7 @@ def test_pagerank_sums_to_one(kar):
 
 
 def test_pagerank_matches_dense_solve(kar):
-    assert np.allclose(pagerank(kar, tol=1e-12), brute_pagerank(kar), atol=1e-8)
+    assert np.allclose(pagerank(kar), brute_pagerank(kar), atol=1e-8)
 
 
 def test_pagerank_handles_isolated_nodes():
@@ -308,9 +308,7 @@ def test_pagerank_matches_networkx():
     for name, g in _oracle_cases(nx).items():
         ref = nx.pagerank(_nx_graph(nx, g), alpha=0.85, tol=1e-15, max_iter=10000)
         expected = np.array([ref[v] for v in range(g.n)])
-        np.testing.assert_allclose(
-            pagerank(g, tol=1e-12), expected, rtol=0, atol=1e-10, err_msg=name
-        )
+        np.testing.assert_allclose(pagerank(g), expected, rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_community_degrees_disjoint_triangles():
