@@ -2,8 +2,9 @@
 
 Every baseline spends the same flip budget (stopping early only when it
 runs out of candidates) and is scored by the same similarity criterion as
-the optimiser. Ranked choices break ties by the smaller node id, so the
-degree, centrality, dice and roam baselines are fully deterministic.
+the optimiser. Every ranked choice is made by `scoring.top_ranked`, ties to
+the smaller node id, so the degree, centrality, dice and roam baselines are
+fully deterministic.
 
 A baseline is a plan: given the graph, the target, its community, the
 budget, a seed and the graph's structural scores (or None), it returns the
@@ -20,7 +21,13 @@ from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity, resolve_seed
 from .graph import EdgeDelta, Graph, apply_delta
-from .scoring import StructuralScores, betweenness
+from .scoring import StructuralScores, betweenness, top_ranked
+
+
+def _degrees_and_neighbours(g: Graph, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's degree and u's sorted neighbours, read off the cached CSR."""
+    indptr, indices = g.csr()  # np.diff would cost several times this slicing on small graphs
+    return indptr[1:] - indptr[:-1], indices[indptr[u]:indptr[u + 1]]
 
 
 def _dice(
@@ -34,16 +41,13 @@ def _dice(
     until the budget is spent. Without an internal neighbour the whole
     budget goes to additions.
     """
-    intra = [v for v in g.neighbors(u) if v in members]
-    toggles: set[int] = set()
-    if intra:
-        toggles.add(min(intra, key=lambda v: (-g.degree(v), v)))
-    outside = sorted(
-        (v for v in range(g.n) if v != u and v not in members and not g.has_edge(u, v)),
-        key=lambda v: (-g.degree(v), v),
-    )
-    toggles.update(outside[: beta - len(toggles)])
-    return (EdgeDelta(u, frozenset(toggles)),)
+    degrees, nbrs = _degrees_and_neighbours(g, u)
+    skip = np.zeros(g.n, dtype=bool)  # u's community (u included), then its neighbours too
+    skip[list(members)] = True
+    drop = top_ranked(degrees, nbrs[skip[nbrs]], 1)
+    skip[nbrs] = True
+    adds = top_ranked(degrees, np.nonzero(~skip)[0], beta - len(drop))
+    return (EdgeDelta(u, frozenset(drop + adds)),)
 
 
 def _roam(
@@ -56,14 +60,12 @@ def _roam(
     budget-1 edges from v0 to the highest-degree other neighbours of the
     target not yet adjacent to v0. The additions land on v0's row.
     """
-    nbrs = g.neighbors(u)
-    if not nbrs:
+    degrees, nbrs = _degrees_and_neighbours(g, u)
+    if not nbrs.size:
         return (EdgeDelta(u),)
-    v0 = min(nbrs, key=lambda v: (-g.degree(v), v))
-    additions = sorted(
-        (w for w in nbrs if w != v0 and not g.has_edge(v0, w)),
-        key=lambda w: (-g.degree(w), w),
-    )[: beta - 1]
+    v0, *rest = top_ranked(degrees, nbrs, nbrs.size)
+    linked = g.neighbors(v0)
+    additions = [w for w in rest if w not in linked][: beta - 1]
     removal = EdgeDelta(u, frozenset((v0,)))
     return (removal, EdgeDelta(v0, frozenset(additions))) if additions else (removal,)
 
@@ -83,12 +85,6 @@ def _random(
     return (EdgeDelta(u, frozenset(nodes[counts % 2 == 1].tolist())),)
 
 
-def _top_ranked(values: np.ndarray, u: int, beta: int) -> tuple[EdgeDelta, ...]:
-    """Toggle the edges to the beta nodes other than u with the largest values."""
-    order = np.lexsort((np.arange(values.size), -values))  # ties to the smaller id
-    return (EdgeDelta(u, frozenset(order[order != u][:beta].tolist())),)
-
-
 def _degree(
     g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
     scores: StructuralScores | None,
@@ -98,8 +94,9 @@ def _degree(
     Toggling (u, v) changes only the degrees of u and v, and neither can be
     picked again, so re-ranking after every toggle would pick the same nodes.
     """
-    degrees = np.fromiter(map(g.degree, range(g.n)), dtype=np.int64, count=g.n)
-    return _top_ranked(degrees, u, beta)
+    degrees, _ = _degrees_and_neighbours(g, u)
+    others = np.nonzero(np.arange(g.n) != u)[0]
+    return (EdgeDelta(u, frozenset(top_ranked(degrees, others, beta))),)
 
 
 def _centrality(
@@ -112,7 +109,8 @@ def _centrality(
     recomputing it per toggle would cost another full all-pairs pass per step.
     """
     bc = betweenness(g) if scores is None else scores.raw["betweenness"]
-    return _top_ranked(bc, u, beta)
+    others = np.nonzero(np.arange(g.n) != u)[0]
+    return (EdgeDelta(u, frozenset(top_ranked(bc, others, beta))),)
 
 
 _PLANS = {

@@ -28,6 +28,7 @@ from .evaluation import (
     SummaryRow,
     TargetRecord,
     attack,
+    budget_for,
     report_to_json,
     run_experiment,
     write_csv,
@@ -210,7 +211,10 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
             obj[key] = _detector_from_json(obj[key], key)
     if preset:
         obj.setdefault("mu_plus_one", preset.mu_plus_one)
-    return g, ExperimentSpec(**obj)
+    spec = ExperimentSpec(**obj)
+    for factor in spec.beta_factors:  # a finite factor can still overflow on this graph
+        budget_for(g, factor, spec.mu_plus_one)
+    return g, spec
 
 
 def _cmd_benchmark(args) -> int:

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
 from .graph import Graph
 from .schema import check_types
-from .scoring import StructuralScores, pagerank, structural_scores
+from .scoring import StructuralScores, pagerank, structural_scores, top_ranked
 
 GRADIENT_METHODS = ("gradient", "gradient_projected")
 ALL_METHODS = GRADIENT_METHODS + BASELINE_NAMES
@@ -85,15 +85,15 @@ def f1_score(success_rate: float, nmi_value: float) -> float:
     return 2.0 * success_rate * nmi_value / s
 
 
-def _check_budget_factor(factor: float) -> None:
-    if not 0 < factor < math.inf:
-        raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
+def _check_budget_factor(factor: float, mu: float = 1.0) -> None:
+    if not (factor > 0 and math.isfinite(mu * factor)):  # a finite factor can still overflow
+        raise ConfigError(f"budget factor must be positive with a finite budget, got {factor!r}")
 
 
 def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
     """Flip budget from the mean-degree-per-edge unit mu = m/n, at least 1."""
-    _check_budget_factor(factor)
     mu = g.m / g.n + (1.0 if mu_plus_one else 0.0)
+    _check_budget_factor(factor, mu)
     return max(1, math.floor(mu * factor))
 
 
@@ -106,25 +106,17 @@ def sample_targets(partition: Partition, seed: int, cap: int) -> tuple[int, ...]
     replacement. Duplicates across fractions are dropped.
     """
     comms = partition.communities
-    eligible = [i for i, c in enumerate(comms) if len(c) > 1]
-    if not eligible:
+    sizes = np.array([len(c) for c in comms])
+    eligible = np.flatnonzero(sizes > 1)
+    if not eligible.size:
         return ()
-    largest = max(len(comms[i]) for i in eligible)
     rng = np.random.default_rng(seed)
     targets: list[int] = []
-    seen: set[int] = set()
     for frac in TARGET_FRACTIONS:
-        want = frac * largest
-        pick = min(eligible, key=lambda i: (abs(len(comms[i]) - want), i))
+        pick = top_ranked(-np.abs(sizes - frac * sizes.max()), eligible, 1)[0]
         members = np.array(sorted(comms[pick]))
-        k = min(members.size, cap)
-        chosen = rng.choice(members, size=k, replace=False)
-        for v in chosen:
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                targets.append(v)
-    return tuple(targets)
+        targets += rng.choice(members, size=min(members.size, cap), replace=False).tolist()
+    return tuple(dict.fromkeys(targets))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .graph import EdgeDelta, Graph, apply_delta, clamp_add, delta_between
 from .schema import check_types, fits
 from .scoring import (
     DEFAULT_WEIGHTS, StructuralScores, check_weights, promising_actions, structural_scores,
+    top_ranked,
 )
 
 FLIP = 0.5  # a relaxed entry at or beyond +-FLIP flips its edge
@@ -275,11 +276,6 @@ def hide_projected(
     return hide(g, u, detector, replace(config, exhaust_budget=True), seed, scores, partition)
 
 
-def _ranked_fill(scores_vec: np.ndarray, candidates: np.ndarray, count: int) -> np.ndarray:
-    """The `count` candidates of highest score; ties go to the smaller id."""
-    return candidates[np.lexsort((candidates, -scores_vec[candidates]))[:count]]
-
-
 def _rounds_to_flip(
     bits: np.ndarray,
     p_hat: np.ndarray,
@@ -332,11 +328,11 @@ def project_to_budget(
             if not fresh.size:
                 break
             if fresh.size > budget_left:
-                fresh = _ranked_fill(np.abs(p_hat) * np.abs(g_bar), fresh, budget_left)
+                fresh = top_ranked(np.abs(p_hat) * np.abs(g_bar), fresh, budget_left)
             blocked[fresh] = True
-            budget_left -= fresh.size
+            budget_left -= len(fresh)
     if budget_left > 0:
         strength = np.abs(p_hat) * np.abs(g_bar) if np.any(g_bar) else np.abs(p_hat)
-        blocked[_ranked_fill(strength, np.flatnonzero(~blocked), budget_left)] = True
+        blocked[top_ranked(strength, np.flatnonzero(~blocked), budget_left)] = True
     blocked[u] = False
     return frozenset(np.flatnonzero(blocked).tolist())

@@ -184,6 +184,8 @@ def apply_delta(g: Graph, delta: EdgeDelta) -> Graph:
     """
     if not 0 <= delta.owner < g.n:
         raise ValueError(f"delta owner {delta.owner} outside graph with n={g.n}")
+    if delta.toggled and not 0 <= min(delta.toggled) <= max(delta.toggled) < g.n:
+        raise ValueError(f"delta toggles a node outside graph with n={g.n}")
     toggles = frozenset(delta.edges())
     if isinstance(g, GraphOverlay):
         combined = g.toggled_edges ^ toggles

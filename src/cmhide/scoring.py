@@ -177,6 +177,12 @@ def rank_scores(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def top_ranked(values: np.ndarray, candidates, k: int) -> list[int]:
+    """The k candidates with the largest values, ties to the smaller id."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    return candidates[np.lexsort((candidates, -values[candidates]))[:k]].tolist()
+
+
 def check_weights(weights) -> tuple[float, ...]:
     """The property weights as floats: 4 finite, non-negative numbers summing to 1.
 

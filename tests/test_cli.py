@@ -258,6 +258,10 @@ BAD_INPUTS = {
     "config removed key": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"q": 3}),
     ),
+    "spec budget overflows": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "beta_factors": [1e308]}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
     "spec config removed key": lambda tmp: (
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"squared_loss": True}}),
         "--out", str(tmp / "out"), "--jobs", "1",

@@ -81,6 +81,8 @@ def test_budget_scales_with_mean_degree(kar):
     for factor in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             budget_for(kar, factor)
+    with pytest.raises(ConfigError, match=r"budget, got 1e\+308"):  # finite, but mu * factor is not
+        budget_for(kar, 1e308)
 
 
 # blocks of 10, 8, 5, 3 and 4 members: 30/50/80 percent of the largest

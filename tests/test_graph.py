@@ -209,3 +209,11 @@ def test_overlay_reads_like_a_rebuilt_graph(kar, name):
 def test_edge_delta_rejects_self_toggle():
     with pytest.raises(ValueError):
         EdgeDelta(1, frozenset((1, 2)))
+
+
+@pytest.mark.parametrize("outside", [-1, 34])
+def test_apply_delta_rejects_toggled_ids_outside_the_graph(kar, outside):
+    with pytest.raises(ValueError, match="delta toggles a node outside graph with n=34"):
+        apply_delta(kar, EdgeDelta(0, {outside, 5}))
+    with pytest.raises(ValueError, match="outside graph"):  # on an overlay too
+        apply_delta(apply_delta(kar, EdgeDelta(1, {2})), EdgeDelta(0, {outside}))

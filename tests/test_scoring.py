@@ -21,6 +21,7 @@ from cmhide.scoring import (
     community_degrees,
     promising_actions,
     rank_scores,
+    top_ranked,
 )
 
 from conftest import graph_from_edges, layered_graph, planted_blocks, random_graph
@@ -110,6 +111,34 @@ def test_rank_scores_example():
 
 def test_rank_scores_ties_by_node_id():
     assert rank_scores(np.array([7.0, 7.0, 7.0])).tolist() == [1, 2, 3]
+
+
+def test_top_ranked_ties_go_to_the_smaller_id():
+    assert top_ranked(np.full(6, 3), [5, 2, 4, 0], 2) == [0, 2]
+    assert top_ranked(np.array([1.0, 9.0, 1.0, 9.0]), np.array([3, 2, 1, 0]), 3) == [1, 3, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, float])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_top_ranked_values_and_candidates(dtype, as_array):
+    values = np.array([4, 0, 7, 7, 2, 9], dtype=dtype)
+    candidates = [0, 2, 3, 4] if not as_array else np.array([0, 2, 3, 4])
+    assert top_ranked(values, candidates, 0) == []
+    assert top_ranked(values, candidates, 2) == [2, 3]
+    every = top_ranked(values, candidates, 10)  # k beyond the candidates: all, in rank order
+    assert every == [2, 3, 0, 4]
+    assert all(type(v) is int for v in every)
+    assert top_ranked(values, [], 3) == []
+
+
+def test_top_ranked_matches_a_sort_on_value_then_id():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        values = rng.integers(0, 4, size=12).astype(float)
+        candidates = rng.permutation(12)[: rng.integers(0, 13)]
+        k = int(rng.integers(0, 14))
+        want = sorted(candidates.tolist(), key=lambda v: (-values[v], v))[:k]
+        assert top_ranked(values, candidates, k) == want
 
 
 def test_rank_normalisation_example():
