@@ -104,10 +104,13 @@ def modularity(g: Graph, partition: Partition) -> float:
 def _greedy(g: Graph) -> Partition:
     """Clauset-Newman-Moore agglomeration: merge the best pair while its gain is > 0.
 
-    The heap holds a pair only while its modularity gain is positive. A
-    pair's gain changes only when one of its communities merges, and that
-    merge pushes it again, so the first live entry popped is the best pair
-    (ties to the smallest ids) and an exhausted heap means no merge gains.
+    Each heap key is an upper bound on its pair's current gain, and every
+    pair with a positive gain has a key. Merging b into a raises a gain
+    only for b's neighbours, so only those pairs are pushed; for the other
+    neighbours of a the old key bounds the lowered gain. A popped key above
+    its pair's gain is pushed back at that gain if it is positive, so the
+    first key popped that equals its gain is the best pair (ties to the
+    smallest ids) and an exhausted heap means no merge gains.
     """
     n, m = g.n, g.m
     if m == 0:
@@ -131,8 +134,11 @@ def _greedy(g: Graph) -> Partition:
         ca, cb = cross[a], cross[b]
         if ca is None or cb is None:
             continue  # stale: one side already merged away
-        if -neg_dq != ca[b] / m - dsum[a] * dsum[b] / mm:
-            continue  # stale: weights changed since push
+        dq = ca[b] / m - dsum[a] * dsum[b] / mm
+        if -neg_dq != dq:
+            if dq > 0:
+                heappush(heap, (-dq, a, b))  # the gain fell since the push
+            continue
         members[a] |= members[b]
         members[b] = cross[b] = None
         da = dsum[a] = dsum[a] + dsum[b]
@@ -140,12 +146,11 @@ def _greedy(g: Graph) -> Partition:
             if c != a:
                 cc = cross[c]
                 del cc[b]
-                ca[c] = cc[a] = ca.get(c, 0) + w
+                x = ca[c] = cc[a] = ca.get(c, 0) + w
+                dq = x / m - da * dsum[c] / mm
+                if dq > 0:
+                    heappush(heap, (-dq, a, c) if a < c else (-dq, c, a))
         del ca[b]
-        for c, x in ca.items():
-            dq = x / m - da * dsum[c] / mm
-            if dq > 0:
-                heappush(heap, (-dq, a, c) if a < c else (-dq, c, a))
     return Partition.from_communities(c for c in members if c is not None)
 
 

@@ -140,8 +140,9 @@ def test_detector_spec_validation():
 def heap_greedy(g) -> Partition:
     """Clauset-Newman-Moore with every adjacent pair on a lazy-deletion heap.
 
-    The detector queues only positive gains; both must merge the same
-    pairs in the same order, so their partitions must be equal.
+    The detector keys each pair by an upper bound on its gain and pushes it
+    back when that bound is stale; both must merge the same pairs in the
+    same order, so their partitions must be equal.
     """
     n, m = g.n, g.m
     if m == 0:
@@ -195,6 +196,10 @@ def test_greedy_merges_as_the_full_heap_does_on_fixtures(kar, barbell, cliques, 
     for seed, (n, p) in enumerate(itertools.product((6, 20, 60), (0.02, 0.08, 0.2, 0.5))):
         graphs.append(random_graph(n, p, seed))  # isolated nodes, several components
     graphs.append(planted_blocks([75, 75, 75, 75], 0.12, 0.01, seed=3))
+    # n = 600 and 1,000, communities of up to 320 nodes: hundreds of keys
+    # go back on the heap
+    graphs.append(planted_blocks([40, 80, 160, 320], 0.08, 0.004, seed=1))
+    graphs.append(planted_blocks([100] * 10, 0.1, 0.005, seed=0))
     for g in graphs:
         assert detect(g, greedy) == heap_greedy(g), g
 
