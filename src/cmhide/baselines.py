@@ -152,8 +152,7 @@ def run_baseline(
     used = 0
     for d in deltas:
         used += d.size
-        if d.size:
-            g2 = apply_delta(g2, d)
+        g2 = apply_delta(g2, d)
     if used:
         part2 = detect(g2, detector)
         detections += 1

@@ -2,8 +2,9 @@
 
 Graphs carry arbitrary string labels mapped to contiguous internal ids
 0..n-1 (first-appearance order). A counterfactual graph is an overlay: a
-Graph that XORs a set of toggled edges onto an immutable base graph and
-shares every untouched row with it; the base is never copied or mutated.
+Graph built from another graph by toggling one node's row, sharing every
+untouched row with it; the graph it is built from is never copied or
+mutated.
 """
 
 from __future__ import annotations
@@ -149,52 +150,39 @@ class Graph:
 
 
 class GraphOverlay(Graph):
-    """A base graph with a set of toggled edges.
+    """A graph with one node's row rewired by an edge delta.
 
-    Shares the base's labels, ids and untouched rows; only the rows the
-    toggles touch are rebuilt. The base is kept so that stacked deltas
-    combine their toggles on it (see apply_delta).
+    Built from whatever graph it is given, overlays included. Shares that
+    graph's labels, ids and every row the delta leaves untouched; only the
+    owner's row and the rows of the toggled nodes are rebuilt.
     """
 
-    __slots__ = ("base", "toggled_edges")
+    __slots__ = ()
 
-    def __init__(self, base: Graph, toggled_edges: frozenset[tuple[int, int]]):
-        self.base = base
-        self.toggled_edges = toggled_edges
-        self.n = base.n
-        self._labels = base._labels
-        self._ids = base._ids
-        touched: dict[int, set[int]] = {}
-        for u, v in toggled_edges:
-            touched.setdefault(u, set()).add(v)
-            touched.setdefault(v, set()).add(u)
-        adj = list(base._adj)
-        for v, flips in touched.items():
-            adj[v] = tuple(sorted(set(adj[v]) ^ flips))
+    def __init__(self, g: Graph, delta: EdgeDelta):
+        u = delta.owner
+        self.n = g.n
+        self._labels = g._labels
+        self._ids = g._ids
+        adj = list(g._adj)
+        adj[u] = tuple(sorted(set(adj[u]) ^ delta.toggled))
+        for v in delta.toggled:
+            adj[v] = tuple(sorted(set(adj[v]) ^ {u}))
         self._adj = tuple(adj)
-        added = sum(1 for u, v in toggled_edges if not base.has_edge(u, v))
-        self.m = base.m + added - (len(toggled_edges) - added)
+        self.m = g.m + len(adj[u]) - len(g._adj[u])
 
 
 def apply_delta(g: Graph, delta: EdgeDelta) -> Graph:
-    """Overlay an edge delta on a graph (or on another overlay).
+    """The graph with the delta's edges toggled; g itself for an empty delta.
 
-    Applying the same delta twice cancels out; an overlay whose toggle set
-    becomes empty collapses back to the base graph.
+    Stacked deltas toggle row by row, so applying the same delta twice
+    gives a graph equal to the original.
     """
     if not 0 <= delta.owner < g.n:
         raise ValueError(f"delta owner {delta.owner} outside graph with n={g.n}")
     if delta.toggled and not 0 <= min(delta.toggled) <= max(delta.toggled) < g.n:
         raise ValueError(f"delta toggles a node outside graph with n={g.n}")
-    toggles = frozenset(delta.edges())
-    if isinstance(g, GraphOverlay):
-        combined = g.toggled_edges ^ toggles
-        if not combined:
-            return g.base
-        return GraphOverlay(g.base, combined)
-    if not toggles:
-        return g
-    return GraphOverlay(g, toggles)
+    return GraphOverlay(g, delta) if delta.toggled else g
 
 
 def clamp_add(row: np.ndarray, owner: int, p: np.ndarray) -> np.ndarray:
