@@ -1,11 +1,11 @@
 """Gradient-driven search for a small edge rewiring that hides a node.
 
 The perturbation of the target's adjacency row is relaxed to a continuous
-vector, optimised by Adam against a smooth loss that pulls the row toward
-the promising-actions target while penalising large changes, and
-discretised back to edge flips after every step. With exhaust_budget set, a
-projection step then keeps applying the most promising flips until the
-whole budget is spent.
+vector p_hat = tanh(theta). Adam steps the unconstrained theta against a
+smooth loss that pulls the row toward the promising-actions target while
+penalising large changes; p_hat is discretised back to edge flips after
+every step. With exhaust_budget set, a projection step then keeps applying
+the most promising flips until the whole budget is spent.
 
 The settings a caller tunes live in HidingConfig; the rest are fixed below.
 """
@@ -187,10 +187,12 @@ def hide(
     Every row the search proposes within budget is scored once: detected,
     and its similarity, graph and partition kept. The search stops at the
     first row whose similarity is at most tau and returns the best row
-    scored. A step that proposes more than beta flips restarts Adam from a
-    fresh point. With config.exhaust_budget the search ends with
-    project_to_budget, which spends whatever budget is left. `seed` draws
-    the starting points in place of config.seed.
+    scored. Adam steps theta, with p_hat = tanh(theta); the loss gradient is
+    taken with respect to p_hat, without the chain factor 1 - p_hat**2. A
+    step that proposes more than beta flips restarts Adam from a fresh
+    point. With config.exhaust_budget the search ends with project_to_budget,
+    which spends whatever budget is left. `seed` draws the starting points
+    in place of config.seed.
     """
     t_start = time.perf_counter()
     n = g.n
@@ -216,13 +218,13 @@ def hide(
             hit = scored[delta] = (sim2, g2, part2)
         return hit[0]
 
-    def start() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """A fresh p_hat, and Adam's moments and step count zeroed."""
-        p_hat = rng.uniform(-0.5, 0.5, n)
-        p_hat[u] = 0.0
-        return p_hat, np.zeros(n), np.zeros(n), 0
+    def start() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """A fresh theta and p_hat = tanh(theta), and Adam's moments and step count zeroed."""
+        theta = np.arctanh(rng.uniform(-0.5, 0.5, n))
+        theta[u] = 0.0
+        return theta, np.tanh(theta), np.zeros(n), np.zeros(n), 0
 
-    p_hat, m, v, adam_t = start()
+    theta, p_hat, m, v, adam_t = start()
     g_acc = np.zeros(n)  # GAMMA-discounted gradient sum, kept across restarts
     restarts = iterations = 0
     # the first row that hides u is scored lower than every row before it
@@ -235,11 +237,12 @@ def hide(
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
         m_hat = m / (1.0 - ADAM_BETA1**adam_t)
         v_hat = v / (1.0 - ADAM_BETA2**adam_t)
-        p_hat = np.tanh(p_hat - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        theta = theta - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p_hat = np.tanh(theta)
         delta = delta_between(u, bits, clamp_add(bits, u, threshold(p_hat)))
         if delta.size > config.beta:
             restarts += 1
-            p_hat, m, v, adam_t = start()
+            theta, p_hat, m, v, adam_t = start()
         elif score(delta) < scored[best][0]:
             best = delta
 

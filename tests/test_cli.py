@@ -53,7 +53,7 @@ def test_hide_gradient_regression(capsys):
     assert obj["success"] is True
     assert obj["similarity"] == 0.0
     assert obj["used_budget"] == 2
-    assert obj["added"] == [["31", "9"], ["8", "9"]]
+    assert obj["added"] == [["27", "9"], ["31", "9"]]
     assert obj["removed"] == []
     assert obj["tau"] == 0.5 and obj["beta"] == 3
     assert obj["wall_ms"] > 0
@@ -67,7 +67,7 @@ def test_hide_exhaust_budget_spends_everything(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["used_budget"] == 3
-    assert obj["added"] == [["30", "9"], ["31", "9"], ["8", "9"]]
+    assert obj["added"] == [["27", "9"], ["31", "9"], ["8", "9"]]
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)

@@ -254,7 +254,7 @@ def test_projection_after_failed_search_is_locked(kar, greedy):
     plain = hide(kar, u, greedy, config, seed=3)
     assert not plain.success
     projected = hide(kar, u, greedy, replace(config, exhaust_budget=True), seed=3)
-    assert projected.deltas == (EdgeDelta(u, frozenset({8, 21, 29})),)
+    assert projected.deltas == (EdgeDelta(u, frozenset({8, 14, 21})),)
     assert plain.delta.toggled < projected.delta.toggled
     assert projected.similarity == 0.0
     assert projected.detections == 3
@@ -282,7 +282,7 @@ def test_hide_succeeds_inside_clique(cliques, greedy):
     assert outcome.similarity == 0.0
     assert sorted(outcome.delta.toggled) == [4, 6, 8, 9]
     assert outcome.used_budget == 4
-    assert outcome.restarts == 0
+    assert outcome.restarts == 2
 
 
 def test_projected_variant_spends_remaining_budget(kar, greedy):
