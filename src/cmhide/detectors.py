@@ -231,7 +231,13 @@ def _louvain(g: Graph, seed: int) -> Partition:
 
 
 def _label_propagation(g: Graph, seed: int) -> Partition:
-    """Asynchronous label propagation with seeded sweep order."""
+    """Asynchronous label propagation with seeded sweep order.
+
+    A node keeps its own label while it ties for the most frequent among its
+    neighbours; otherwise it takes one of the most frequent labels, drawn
+    uniformly from them in ascending order (Raghavan, Albert & Kumara 2007).
+    The seed draws both the sweep orders and the ties.
+    """
     rng = np.random.default_rng(seed)
     labels = list(range(g.n))
     for _ in range(_LPA_MAX_SWEEPS):
@@ -244,10 +250,12 @@ def _label_propagation(g: Graph, seed: int) -> Partition:
             counts: dict[int, int] = {}
             for u in nbrs:
                 counts[labels[u]] = counts.get(labels[u], 0) + 1
-            best = min(counts, key=lambda lab: (-counts[lab], lab))
-            if best != labels[v]:
-                labels[v] = best
-                changed = True
+            top = max(counts.values())
+            if counts.get(labels[v]) == top:
+                continue
+            tied = sorted(lab for lab, c in counts.items() if c == top)
+            labels[v] = tied[int(rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
+            changed = True
         if not changed:
             break
     groups: dict[int, set[int]] = {}
