@@ -26,6 +26,7 @@ from cmhide import (
     load_fixture,
     nmi,
     pagerank,
+    run_baseline,
     run_experiment,
 )
 from cmhide.cli import main as cli_main
@@ -437,3 +438,40 @@ def test_criterion_9_parallel_determinism(capsys, tmp_path):
     )
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
+
+
+def test_criterion_10_every_tuned_preset_searches(capsys, kar):
+    # karate under greedy, tau 0.5, beta 3, every target whose community has
+    # another member, each attack seeded with the target's id
+    greedy = DetectorSpec("greedy")
+    part = detect(kar, greedy)
+    before = part.membership(kar.n)
+    targets = [u for u in range(kar.n) if len(part.community_members(u)) > 1]
+
+    def calls_and_f1(outcomes) -> tuple[int, float]:
+        success_rate = float(np.mean([o.success for o in outcomes]))
+        mean_nmi = float(np.mean([nmi(before, o.partition.membership(kar.n)) for o in outcomes]))
+        return sum(o.detections for o in outcomes), f1_score(success_rate, mean_nmi)
+
+    results = {}
+    for name in ("kar", "words", "vote", "fb-75"):
+        config = get_preset(name).config(tau=0.5, beta=3)
+        calls, ours = calls_and_f1(
+            [hide(kar, u, greedy, config, seed=u, partition=part) for u in targets]
+        )
+        _, rival = calls_and_f1(
+            [run_baseline("random", kar, u, greedy, config, seed=u, partition=part)
+             for u in targets]
+        )
+        results[name] = (calls, ours, rival)
+    ok = all(calls >= 1 and ours > rival for calls, ours, rival in results.values())
+    _report(
+        capsys, "criterion 10 (every tuned preset searches)", ok,
+        "; ".join(
+            f"{name} {calls} calls, F1 {ours:.3f} vs random {rival:.3f}"
+            for name, (calls, ours, rival) in results.items()
+        ),
+    )
+    for name, (calls, ours, rival) in results.items():
+        assert calls >= 1, name
+        assert ours > rival, (name, ours, rival)
