@@ -19,7 +19,9 @@ import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, _prepare_target, dice_similarity, resolve_seed
+from .gradient import (
+    HidingConfig, HidingOutcome, _prepare_target, community_similarity, resolve_seed,
+)
 from .graph import EdgeDelta, Graph, apply_delta
 from .scoring import StructuralScores, betweenness, top_ranked
 
@@ -156,7 +158,7 @@ def run_baseline(
     if used:
         part2 = detect(g2, detector)
         detections += 1
-        sim = dice_similarity(reference, part2.community_members(u) - {u})
+        sim = community_similarity(reference, part2, u)
     else:
         part2 = partition
         sim = 1.0

@@ -94,15 +94,13 @@ def _partition_json(algo: str, seed: int, g: Graph, part: Partition) -> str:
 def _partition_from_json(path: str, g: Graph) -> Partition:
     def build(obj: dict) -> Partition:
         try:
-            part = Partition.from_communities(
-                frozenset(g.id_of(lab) for lab in comm) for comm in obj["communities"]
-            )
+            comms = [frozenset(map(g.id_of, comm)) for comm in obj["communities"]]
+            uncovered = g.n - len(frozenset().union(*comms))
+            if not uncovered:
+                return Partition.from_communities(comms)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"not a partition of this graph: {exc.args[0]}") from None
-        uncovered = g.n - sum(len(c) for c in part.communities)
-        if uncovered:
-            raise ConfigError(f"leaves {uncovered} node(s) of the graph uncovered")
-        return part
+        raise ConfigError(f"leaves {uncovered} node(s) of the graph uncovered")
 
     return load_json(path, "partition", build, ("algo", "seed", "communities"), ("communities",))
 

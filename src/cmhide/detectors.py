@@ -1,15 +1,15 @@
 """Community detection: greedy modularity, Louvain and label propagation.
 
 All detectors are deterministic given their spec (name and seed).
-Partitions are canonical: communities ordered by their smallest member, so
-two equal partitions compare equal structurally.
+A partition is one label per node, communities numbered by their smallest
+member, so two equal partitions compare equal.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -40,47 +40,62 @@ class DetectorSpec:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
-    """Disjoint node communities covering the graph, in canonical order."""
+    """Disjoint communities covering nodes 0..n-1, one label per node.
 
-    communities: tuple[frozenset[int], ...]
-    _index: dict[int, int] = field(default=None, repr=False, compare=False)
+    `labels[v]` is the index of node v's community, and communities are
+    numbered by their smallest member, so equal partitions have equal
+    labels. Member sets are built on demand and never kept.
+    """
+
+    labels: tuple[int, ...]
+
+    @staticmethod
+    def from_labels(keys: Iterable[Hashable]) -> "Partition":
+        """Node v in the community keyed `keys[v]`; keys renumbered by first appearance."""
+        index: dict = {}
+        return Partition(tuple([index.setdefault(key, len(index)) for key in keys]))
 
     @staticmethod
     def from_communities(communities: Iterable[Iterable[int]]) -> "Partition":
-        comms = tuple(
-            sorted((frozenset(c) for c in communities if c), key=min)
-        )
-        seen: set[int] = set()
-        for c in comms:
-            if c & seen:
-                raise ValueError("communities overlap")
-            seen |= c
-        return Partition(comms)
-
-    def __post_init__(self):
-        index = {v: i for i, c in enumerate(self.communities) for v in c}
-        object.__setattr__(self, "_index", index)
+        """The partition of nodes 0..n-1 into the given communities; empty ones are dropped."""
+        key: dict[int, int] = {}
+        for i, comm in enumerate(communities):
+            for v in comm:
+                if key.setdefault(v, i) != i:
+                    raise ValueError("communities overlap")
+        n = len(key)
+        if any(not 0 <= v < n for v in key):
+            missing = min(set(range(n)) - key.keys())
+            raise ValueError(f"node {missing} is in no community")
+        return Partition.from_labels(key[v] for v in range(n))
 
     @property
     def k(self) -> int:
-        return len(self.communities)
+        return max(self.labels, default=-1) + 1
+
+    @property
+    def communities(self) -> tuple[frozenset[int], ...]:
+        groups: list[list[int]] = [[] for _ in range(self.k)]
+        for v, c in enumerate(self.labels):
+            groups[c].append(v)
+        return tuple(map(frozenset, groups))
 
     def community_of(self, v: int) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise KeyError(f"node {v} not covered by partition") from None
+        if not 0 <= v < len(self.labels):
+            raise KeyError(f"node {v} not covered by partition")
+        return self.labels[v]
 
     def community_members(self, v: int) -> frozenset[int]:
-        return self.communities[self.community_of(v)]
+        c = self.community_of(v)
+        return frozenset([w for w, x in enumerate(self.labels) if x == c])
 
     def membership(self, n: int) -> np.ndarray:
         """The community index of each node 0..n-1, which must be the nodes covered."""
-        out = np.empty(n, dtype=np.int64)
-        out[np.fromiter(self._index, np.int64, n)] = np.fromiter(self._index.values(), np.int64, n)
-        return out
+        if n != len(self.labels):
+            raise ValueError(f"partition covers {len(self.labels)} nodes, not {n}")
+        return np.array(self.labels, dtype=np.int64)
 
 
 def modularity(g: Graph, partition: Partition) -> float:
@@ -114,12 +129,12 @@ def _greedy(g: Graph) -> Partition:
     """
     n, m = g.n, g.m
     if m == 0:
-        return Partition.from_communities([{v} for v in range(n)])
+        return Partition.from_labels(range(n))
     mm = 2.0 * m * m
     # per community id; None once merged away
     cross: list[dict[int, int] | None] = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
     dsum = [len(nbrs) for nbrs in cross]
-    members: list[set[int] | None] = [{v} for v in range(n)]
+    merges: list[tuple[int, int]] = []  # (a, b): b merged into a, in merge order
     heap: list[tuple[float, int, int]] = []
     for a, nbrs in enumerate(cross):
         for b in nbrs:
@@ -139,8 +154,8 @@ def _greedy(g: Graph) -> Partition:
             if dq > 0:
                 heappush(heap, (-dq, a, b))  # the gain fell since the push
             continue
-        members[a] |= members[b]
-        members[b] = cross[b] = None
+        merges.append((a, b))
+        cross[b] = None
         da = dsum[a] = dsum[a] + dsum[b]
         for c, w in cb.items():
             if c != a:
@@ -151,21 +166,26 @@ def _greedy(g: Graph) -> Partition:
                 if dq > 0:
                     heappush(heap, (-dq, a, c) if a < c else (-dq, c, a))
         del ca[b]
-    return Partition.from_communities(c for c in members if c is not None)
+    # a community takes no merge after it is merged away, so walking the
+    # merges backwards settles root[a] before b copies it
+    root = list(range(n))
+    for a, b in reversed(merges):
+        root[b] = root[a]
+    return Partition.from_labels(root)
 
 
 def _louvain(g: Graph, seed: int) -> Partition:
     """Seeded Louvain on the unweighted graph, aggregating levels until stable."""
     rng = np.random.default_rng(seed)
-    # level state: weighted adjacency, self-loop weights, node -> original members
+    # level state: weighted adjacency, self-loop weights, original node -> level node
     adj: list[dict[int, float]] = [
         {w: 1.0 for w in g.neighbors(v)} for v in range(g.n)
     ]
     loops: list[float] = [0.0] * g.n
-    carry: list[frozenset[int]] = [frozenset((v,)) for v in range(g.n)]
+    carry = list(range(g.n))
     m2 = float(sum(len(a) for a in adj))  # twice the edge weight
     if m2 == 0:
-        return Partition.from_communities([set(c) for c in carry])
+        return Partition.from_labels(carry)
 
     while True:
         n = len(adj)
@@ -198,24 +218,21 @@ def _louvain(g: Graph, seed: int) -> Partition:
             if not moved:
                 break
         if not moved_any:
-            return Partition.from_communities([set(c) for c in carry])
-        # aggregate: new node per community, ordered by smallest original member
+            return Partition.from_labels(carry)
+        # aggregate: new node per community, in order of first appearance; the
+        # level nodes are ordered by smallest original member, and so are these
         groups: dict[int, list[int]] = {}
         for v, c in enumerate(node2com):
             groups.setdefault(c, []).append(v)
-        ordered = sorted(groups.values(), key=lambda vs: min(min(carry[v]) for v in vs))
         com_of = {}
-        for i, vs in enumerate(ordered):
+        for i, vs in enumerate(groups.values()):
             for v in vs:
                 com_of[v] = i
-        new_n = len(ordered)
+        new_n = len(groups)
         new_adj: list[dict[int, float]] = [dict() for _ in range(new_n)]
         new_loops = [0.0] * new_n
-        new_carry: list[frozenset[int]] = [frozenset()] * new_n
-        for i, vs in enumerate(ordered):
-            acc: frozenset[int] = frozenset()
+        for i, vs in enumerate(groups.values()):
             for v in vs:
-                acc |= carry[v]
                 new_loops[i] += loops[v]
                 for u, w in adj[v].items():
                     j = com_of[u]
@@ -224,10 +241,10 @@ def _louvain(g: Graph, seed: int) -> Partition:
                             new_loops[i] += w
                     else:
                         new_adj[i][j] = new_adj[i].get(j, 0.0) + w
-            new_carry[i] = acc
+        carry = [com_of[v] for v in carry]
         if new_n == n:
-            return Partition.from_communities([set(c) for c in new_carry])
-        adj, loops, carry = new_adj, new_loops, new_carry
+            return Partition.from_labels(carry)
+        adj, loops = new_adj, new_loops
 
 
 def _label_propagation(g: Graph, seed: int) -> Partition:
@@ -258,10 +275,7 @@ def _label_propagation(g: Graph, seed: int) -> Partition:
             changed = True
         if not changed:
             break
-    groups: dict[int, set[int]] = {}
-    for v, lab in enumerate(labels):
-        groups.setdefault(lab, set()).add(v)
-    return Partition.from_communities(groups.values())
+    return Partition.from_labels(labels)
 
 
 def detect(g: Graph, spec: DetectorSpec) -> Partition:

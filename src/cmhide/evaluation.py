@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import BASELINE_NAMES, run_baseline
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, dice_similarity, hide
+from .gradient import HidingConfig, HidingOutcome, community_similarity, hide
 from .graph import Graph
 from .schema import check_types
 from .scoring import StructuralScores, pagerank, structural_scores, top_ranked
@@ -284,6 +284,7 @@ def _run_cell(
     targets = sample_targets(
         inv.part_attack, derive_seed(spec.seed, "targets", run), spec.max_targets
     )
+    references = {u: inv.part_eval.community_members(u) - {u} for u in targets}
     records: list[TargetRecord] = []
     for method in spec.methods:
         for u in targets:
@@ -301,10 +302,7 @@ def _run_cell(
                 part_eval_after = inv.part_eval
             else:
                 part_eval_after = detect(outcome.graph, eval_det)
-            sim_eval = dice_similarity(
-                inv.part_eval.community_members(u) - {u},
-                part_eval_after.community_members(u) - {u},
-            )
+            sim_eval = community_similarity(references[u], part_eval_after, u)
             nmi_val = nmi(inv.labels_before, part_eval_after.membership(g.n))
             records.append(
                 TargetRecord(

@@ -111,6 +111,16 @@ def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     return 2.0 * len(sa & sb) / (len(sa) + len(sb))
 
 
+def community_similarity(reference: frozenset[int], partition: Partition, u: int) -> float:
+    """dice_similarity(reference, partition.community_members(u) - {u}), from the labels alone."""
+    labels = partition.labels
+    c = labels[u]
+    size = labels.count(c) - 1
+    if not reference and not size:
+        return 0.0
+    return 2.0 * sum(labels[v] == c for v in reference) / (len(reference) + size)
+
+
 def threshold(p_hat: np.ndarray) -> np.ndarray:
     """Discretise a relaxed perturbation to {-1, 0, +1} (thresholds inclusive)."""
     return np.where(p_hat >= FLIP, 1, np.where(p_hat <= -FLIP, -1, 0)).astype(np.int8)
@@ -214,8 +224,7 @@ def hide(
             g2 = apply_delta(g, delta)
             part2 = detect(g2, detector)
             detections += 1
-            sim2 = dice_similarity(reference, part2.community_members(u) - {u})
-            hit = scored[delta] = (sim2, g2, part2)
+            hit = scored[delta] = (community_similarity(reference, part2, u), g2, part2)
         return hit[0]
 
     def start() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:

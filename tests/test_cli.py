@@ -413,6 +413,28 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
         assert err.rstrip().endswith(f": {key}")
 
 
+KAR_NODES = [str(v) for v in range(34)]
+
+BAD_PARTITIONS = {
+    "overlap": ([KAR_NODES, ["0", "1"]], "not a partition of this graph: communities overlap"),
+    "node left out": (
+        [KAR_NODES[:17], KAR_NODES[18:]], "leaves 1 node(s) of the graph uncovered",
+    ),
+    "unknown label": (
+        [KAR_NODES + ["zz"]], "not a partition of this graph: unknown node label 'zz'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARTITIONS))
+def test_bad_partition_file_exits_2_naming_it(capsys, tmp_path, case):
+    communities, message = BAD_PARTITIONS[case]
+    path = _json_file(tmp_path, {"communities": communities})
+    rc, _, err = run_cli(capsys, "analyze", "scores", "--graph", "kar", "--partition", path)
+    assert rc == 2
+    assert err == f"cmhide: error: partition file {path!r}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +100,68 @@ def test_partition_helpers(kar_partition):
 def test_partition_rejects_overlap():
     with pytest.raises(ValueError):
         Partition.from_communities([frozenset((0, 1)), frozenset((1, 2))])
+
+
+def test_partition_rejects_a_gap_in_the_node_ids():
+    with pytest.raises(ValueError, match="node 2 is in no community"):
+        Partition.from_communities([{0, 1}, {3}])
+    with pytest.raises(ValueError, match="node 1 is in no community"):
+        Partition.from_communities([{-1, 0}])
+
+
+def test_from_labels_renumbers_keys_by_first_appearance():
+    assert Partition.from_labels(["b", "a", "b", "c", "a"]).labels == (0, 1, 0, 2, 1)
+    assert Partition.from_labels([7, 7, 3, 7]).labels == (0, 0, 1, 0)
+    assert Partition.from_labels((None, 2.5, None)).labels == (0, 1, 0)
+    part = Partition.from_labels([])
+    assert part.labels == () and part.k == 0 and part.communities == ()
+    assert Partition.from_labels("xyzx").communities == (
+        frozenset({0, 3}), frozenset({1}), frozenset({2}),
+    )
+
+
+def test_equal_partitions_compare_and_hash_equal():
+    same = [
+        Partition.from_communities([{2, 3}, {0, 1}, {4}]),
+        Partition.from_communities([[4], [1, 0], [], [3, 2]]),
+        Partition.from_labels("ppqqr"),
+        Partition((0, 0, 1, 1, 2)),
+    ]
+    assert all(p == same[0] and hash(p) == hash(same[0]) for p in same)
+    assert len(set(same)) == 1
+    assert Partition.from_labels("pqpqr") != same[0]
+
+
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+def test_partition_views_agree(name, kar, barbell, cliques):
+    graphs = [kar, barbell, cliques] + [random_graph(30, 0.15, s) for s in range(5)]
+    for g in graphs:
+        p = detect(g, DetectorSpec(name))
+        assert Partition.from_communities(p.communities) == p
+        assert p.membership(g.n).tolist() == list(p.labels)
+        for v in range(g.n):
+            assert p.community_members(v) == next(c for c in p.communities if v in c)
+    with pytest.raises(KeyError):
+        p.community_members(g.n)
+    with pytest.raises(KeyError):
+        p.community_members(-1)
+
+
+@pytest.mark.parametrize("name", DETECTOR_NAMES)
+def test_partition_holds_at_most_16_bytes_per_node(name):
+    g = planted_blocks([250] * 4, 0.04, 0.002, seed=0)  # n = 1,000
+    spec = DetectorSpec(name)
+    detect(g, spec)  # first-call costs stay out of the figure
+    gc.collect()
+    tracemalloc.start()
+    try:
+        part = detect(g, spec)
+        gc.collect()  # also empties the free lists the call's temporaries went to
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert part.k == 4
+    assert held / g.n <= 16, f"{held / g.n:.1f} bytes per node"
 
 
 def test_unknown_detector_lists_available():

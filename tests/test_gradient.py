@@ -8,6 +8,7 @@ from cmhide import (
     DetectorSpec,
     EdgeDelta,
     HidingConfig,
+    Partition,
     SingletonCommunityError,
     apply_delta,
     detect,
@@ -16,6 +17,7 @@ from cmhide import (
 )
 from cmhide.gradient import (
     HidingOutcome,
+    community_similarity,
     dice_similarity,
     hide_projected,
     loss_gradient,
@@ -33,6 +35,26 @@ def test_dice_similarity_examples():
     assert dice_similarity({1, 2, 3}, {2, 3, 4}) == pytest.approx(2 / 3)
     assert dice_similarity(set(), set()) == 0.0
     assert dice_similarity({1}, set()) == 0.0
+
+
+def test_community_similarity_matches_dice_on_member_sets():
+    rng = np.random.default_rng(11)
+    cases = [
+        (Partition.from_labels("abab"), 0, frozenset({2})),
+        (Partition.from_labels("abab"), 0, frozenset()),
+        (Partition.from_labels("abbb"), 0, frozenset({1, 2})),  # u alone in its community
+        (Partition.from_labels("abbb"), 0, frozenset()),
+    ]
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        part = Partition.from_labels(rng.integers(0, int(rng.integers(1, n + 1)), n).tolist())
+        u = int(rng.integers(n))
+        others = np.delete(np.arange(n), u)
+        reference = frozenset(others[rng.random(n - 1) < rng.random()].tolist())
+        cases.append((part, u, reference))
+    for part, u, reference in cases:
+        want = dice_similarity(reference, part.community_members(u) - {u})
+        assert community_similarity(reference, part, u) == want, (part, u, reference)
 
 
 def test_threshold_is_inclusive():
