@@ -19,9 +19,7 @@ import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import (
-    HidingConfig, HidingOutcome, _prepare_target, community_similarity, resolve_seed,
-)
+from .gradient import HidingConfig, HidingOutcome, _prepare_target, community_similarity
 from .graph import EdgeDelta, Graph, apply_delta
 from .scoring import StructuralScores, betweenness, top_ranked
 
@@ -110,7 +108,7 @@ def _centrality(
     Centrality is taken on the original graph, from `scores` when given;
     recomputing it per toggle would cost another full all-pairs pass per step.
     """
-    bc = betweenness(g) if scores is None else scores.raw["betweenness"]
+    bc = betweenness(g) if scores is None else scores.betweenness
     others = np.nonzero(np.arange(g.n) != u)[0]
     return (EdgeDelta(u, frozenset(top_ranked(bc, others, beta))),)
 
@@ -131,13 +129,13 @@ def run_baseline(
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int | None = None,
+    seed: int = 0,
     partition: Partition | None = None,
     scores: StructuralScores | None = None,
 ) -> HidingOutcome:
     """Apply the named baseline's rewiring to node u and score it.
 
-    `seed`, config.seed when None, drives `random`. `scores`, the
+    `seed` drives `random`. `scores`, the
     structural scores of g, spare `centrality` its own betweenness pass.
     """
     try:
@@ -147,8 +145,7 @@ def run_baseline(
             f"unknown baseline {name!r}; available: {', '.join(BASELINE_NAMES)}"
         ) from None
     t_start = time.perf_counter()
-    seed = resolve_seed(seed, config)
-    partition, reference, detections = _prepare_target(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
     deltas = plan(g, u, partition.community_members(u), config.beta, seed, scores)
     g2 = g
     used = 0

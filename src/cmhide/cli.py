@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -38,11 +37,10 @@ from .gradient import HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
 from .presets import PRESET_NAMES, get_preset
 from .schema import from_json, load_json, read_text
-from .scoring import DEFAULT_WEIGHTS, pagerank, structural_scores
+from .scoring import DEFAULT_WEIGHTS, check_weights, pagerank, structural_scores
 
 # the method name alone sets exhaust_budget
 _CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig)) - {"exhaust_budget"}
-_SPEC_CONFIG_KEYS = _CONFIG_KEYS - {"seed"}  # every attack seed derives from the spec's seed
 
 # a spec's `jobs` is left to --jobs
 _SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.name != "jobs")}
@@ -106,15 +104,16 @@ def _partition_from_json(path: str, g: Graph) -> Partition:
 
 
 def _parse_weights(text: str) -> tuple[float, ...]:
-    """Comma-separated weights, renormalised so they sum to exactly 1."""
+    """Comma-separated property weights, checked here so that errors quote the text.
+
+    They are returned as typed: `structural_scores` scales them.
+    """
     try:
         weights = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"weights must be comma-separated numbers, got {text!r}") from None
-    total = sum(weights)  # NaN or infinite if any weight is, or if the sum overflows
-    if not 0 < total < math.inf:
-        raise ConfigError(f"weights must be finite with a positive finite sum, got {text!r}")
-    return tuple(w / total for w in weights)
+        check_weights(weights)
+    except ValueError as exc:  # from float(), or the ConfigError of check_weights
+        raise ConfigError(f"bad --weights {text!r}: {exc}") from None
+    return weights
 
 
 def _config_from_args(args) -> HidingConfig:
@@ -124,7 +123,7 @@ def _config_from_args(args) -> HidingConfig:
         base = config
         config = load_json(args.config, "config", lambda obj: replace(base, **obj), _CONFIG_KEYS)
     overrides = {}
-    for key in ("tau", "beta", "eta", "lam", "max_iter", "seed"):
+    for key in ("tau", "beta", "eta", "lam", "max_iter"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = value
@@ -181,7 +180,8 @@ def _cmd_hide(args) -> int:
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
     config = _config_from_args(args)
-    outcome = attack(args.method, g, u, DetectorSpec(args.algo, seed=args.detector_seed), config)
+    detector = DetectorSpec(args.algo, seed=args.detector_seed)
+    outcome = attack(args.method, g, u, detector, config, seed=args.seed)
     _write_output(_outcome_json(g, args.method, outcome, config), args.out)
     if args.verbose:
         state = "hidden" if outcome.success else "still visible"
@@ -201,8 +201,9 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
     preset = obj.pop("preset", None)
     preset = get_preset(str(preset)) if preset is not None else None
     base = preset.config() if preset else HidingConfig()
+    keys = _CONFIG_KEYS - {"tau", "beta"}  # each cell's tau and beta come from the grid
     obj["config"] = from_json(
-        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _SPEC_CONFIG_KEYS
+        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), keys
     )
     for key in ("detector", "eval_detector"):
         if obj.get(key) is not None:
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide.add_argument("--lam", type=float)
     p_hide.add_argument("--max-iter", dest="max_iter", type=int)
     p_hide.add_argument("--weights", help="four comma-separated structural weights")
-    p_hide.add_argument("--seed", type=int, help="default: the --config seed, else 0")
+    p_hide.add_argument("--seed", type=int, default=0)
     p_hide.add_argument("--detector-seed", type=int, default=0)
     p_hide.add_argument("--strict", action="store_true", help="exit 1 when hiding fails")
     p_hide.add_argument("--out", help="write outcome JSON here instead of stdout")

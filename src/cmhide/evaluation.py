@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import IO, Sequence
@@ -219,18 +220,18 @@ def attack(
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int | None = None,
+    seed: int = 0,
     partition: Partition | None = None,
     scores: StructuralScores | None = None,
 ) -> HidingOutcome:
     """Run one method of ALL_METHODS against node u.
 
     The gradient methods search with `hide`, the others with
-    `run_baseline`; both take `seed`, or config.seed when it is None. The
-    method name alone sets exhaust_budget: off for `gradient`, on for
-    `gradient_projected`. `scores`, the structural scores of g, spares both
-    their own pass: `hide` takes its targets from them and `centrality`
-    ranks by their raw betweenness.
+    `run_baseline`; both take `seed`. The method name alone sets
+    exhaust_budget: off for `gradient`, on for `gradient_projected`.
+    `scores`, the structural scores of g, spares both their own pass:
+    `hide` takes its targets from them and `centrality` ranks by their
+    betweenness.
     """
     if method not in ALL_METHODS:
         raise ConfigError(f"unknown method {method!r}; available: {', '.join(ALL_METHODS)}")
@@ -403,6 +404,7 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
 
     The partitions and structural scores of g are computed once here and
     shared by every cell; worker processes receive them once, at start-up.
+    A pool starts no more workers than there are cells or CPUs.
     """
     t0 = time.perf_counter()
     inv = _invariants(g, spec)
@@ -412,11 +414,12 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
         for tau in spec.taus
         for beta_factor in spec.beta_factors
     ]
-    if spec.jobs > 1 and len(cells) > 1:
+    workers = min(spec.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares serial runs the import
 
         with ProcessPoolExecutor(
-            max_workers=spec.jobs, initializer=_share, initargs=(g, spec, inv)
+            max_workers=workers, initializer=_share, initargs=(g, spec, inv)
         ) as pool:
             chunks = list(pool.map(_run_shared_cell, cells))
     else:

@@ -41,8 +41,8 @@ class HidingConfig:
     beta the maximum number of edge flips on the target's row. eta is the
     Adam step rate, lam the weight of the size penalty, max_iter the
     iteration limit and weights the four property weights of the target
-    vector. seed draws the starting points. exhaust_budget ends the search
-    with project_to_budget.
+    vector, kept as given: they are relative, and `structural_scores`
+    scales them. exhaust_budget ends the search with project_to_budget.
     """
 
     tau: float = 0.5
@@ -51,7 +51,6 @@ class HidingConfig:
     lam: float = 0.1
     max_iter: int = 100
     weights: tuple[float, float, float, float] = DEFAULT_WEIGHTS
-    seed: int = 0
     exhaust_budget: bool = False
 
     def __post_init__(self):
@@ -67,17 +66,6 @@ class HidingConfig:
             raise ConfigError("lam must be non-negative")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-
-def resolve_seed(seed: int | None, config: HidingConfig) -> int:
-    """`seed`, or config.seed when it is None; a negative or non-integer seed is an error."""
-    if seed is None:
-        return config.seed
-    if not fits(int, seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -161,14 +149,16 @@ def loss_gradient(
 
 
 def _prepare_target(
-    g: Graph, u: int, detector: DetectorSpec, partition: Partition | None
+    g: Graph, u: int, detector: DetectorSpec, partition: Partition | None, seed: int
 ) -> tuple[Partition, frozenset[int], int]:
     """Prelude shared by every attack.
 
-    Checks the target, detects the partition when none is given and returns
-    it with the target's reference set (its community without itself) and
-    the number of detector calls spent.
+    Checks the attack seed and the target, detects the partition when none
+    is given and returns it with the target's reference set (its community
+    without itself) and the number of detector calls spent.
     """
+    if not fits(int, seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= u < g.n:
         raise ValueError(f"target {u} outside graph with n={g.n}")
     detections = 0
@@ -188,7 +178,7 @@ def hide(
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int | None = None,
+    seed: int = 0,
     scores: StructuralScores | None = None,
     partition: Partition | None = None,
 ) -> HidingOutcome:
@@ -201,13 +191,12 @@ def hide(
     taken with respect to p_hat, without the chain factor 1 - p_hat**2. A
     step that proposes more than beta flips restarts Adam from a fresh
     point. With config.exhaust_budget the search ends with project_to_budget,
-    which spends whatever budget is left. `seed` draws the starting points
-    in place of config.seed.
+    which spends whatever budget is left. `seed` draws the starting points.
     """
     t_start = time.perf_counter()
     n = g.n
-    rng = np.random.default_rng(resolve_seed(seed, config))
-    partition, reference, detections = _prepare_target(g, u, detector, partition)
+    partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
+    rng = np.random.default_rng(seed)
     if scores is None:
         scores = structural_scores(g, partition, config.weights)
     target_vec = promising_actions(u, partition, scores)
@@ -280,7 +269,7 @@ def hide_projected(
     u: int,
     detector: DetectorSpec,
     config: HidingConfig,
-    seed: int | None = None,
+    seed: int = 0,
     scores: StructuralScores | None = None,
     partition: Partition | None = None,
 ) -> HidingOutcome:

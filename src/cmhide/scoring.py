@@ -1,10 +1,10 @@
 """Node importance scores and the target vector steering the optimiser.
 
 Four structural properties (betweenness, degree, intra- and inter-community
-degree) are rank-normalised into [0, 1] and mixed with convex weights. The
-combined score decides which candidate edge flips look promising: drop ties
-to important nodes inside the target's community, add ties to important
-nodes outside it.
+degree) are rank-normalised into [0, 1] and mixed with relative weights,
+scaled to sum to 1. The combined score decides which candidate edge flips
+look promising: drop ties to important nodes inside the target's community,
+add ties to important nodes outside it.
 """
 
 from __future__ import annotations
@@ -184,9 +184,11 @@ def top_ranked(values: np.ndarray, candidates, k: int) -> list[int]:
 
 
 def check_weights(weights) -> tuple[float, ...]:
-    """The property weights as floats: 4 finite, non-negative numbers summing to 1.
+    """The property weights scaled to sum to 1, the one place they are scaled.
 
-    Pure Python, since HidingConfig runs it on every construction.
+    Weights are relative: any 4 finite, non-negative numbers with a
+    positive, finite sum, divided by that sum. Pure Python, since
+    HidingConfig runs it on every construction.
     """
     try:
         w = tuple(map(float, weights))
@@ -198,21 +200,22 @@ def check_weights(weights) -> tuple[float, ...]:
         raise ConfigError("property weights must be finite")
     if min(w) < 0:
         raise ConfigError("property weights must be non-negative")
-    total = math.fsum(w)
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"property weights must sum to 1, got {total:g}")
-    return w
+    total = sum(w)
+    if not 0 < total < math.inf:
+        raise ConfigError(f"property weights must have a positive, finite sum, got {total:g}")
+    return tuple(x / total for x in w)
 
 
 @dataclass(frozen=True)
 class StructuralScores:
     """The weighted combination of the rank-normalised property scores.
 
-    `raw` keeps the unnormalised property values the ranks were taken from.
+    `betweenness` keeps the unnormalised centrality the first property's
+    ranks were taken from.
     """
 
     combined: np.ndarray
-    raw: dict[str, np.ndarray]
+    betweenness: np.ndarray
 
 
 def structural_scores(
@@ -221,18 +224,14 @@ def structural_scores(
     """Combine the four structural properties into one score per node."""
     w = check_weights(weights)
     intra, inter = community_degrees(g, partition)
-    raw = {
-        "betweenness": betweenness(g),
-        "degree": (intra + inter).astype(float),
-        "intra_degree": intra.astype(float),
-        "inter_degree": inter.astype(float),
-    }
+    bc = betweenness(g)
     n = g.n
     combined = np.zeros(n)
-    for i, name in enumerate(PROPERTY_NAMES):
-        if n > 1:
-            combined += w[i] * ((rank_scores(raw[name]) - 1) / (n - 1))
-    return StructuralScores(combined=combined, raw=raw)
+    if n > 1:
+        # in PROPERTY_NAMES order
+        for wi, values in zip(w, (bc, intra + inter, intra, inter)):
+            combined += wi * ((rank_scores(values) - 1) / (n - 1))
+    return StructuralScores(combined=combined, betweenness=bc)
 
 
 def promising_actions(u: int, partition: Partition, scores: StructuralScores) -> np.ndarray:

@@ -216,9 +216,7 @@ def test_centrality_ranks_by_the_betweenness_in_scores(kar, kar_partition, greed
     monkeypatch.setattr(baselines, "betweenness", None)  # given scores need no pass
     given = run_baseline("centrality", kar, u, greedy, CFG, scores=scores)
     assert given == computed
-    by_id = dataclasses.replace(
-        scores, raw=dict(scores.raw, betweenness=np.arange(kar.n, dtype=float))
-    )
+    by_id = dataclasses.replace(scores, betweenness=np.arange(kar.n, dtype=float))
     last_ids = run_baseline("centrality", kar, u, greedy, CFG, scores=by_id)
     assert sorted(last_ids.delta.toggled) == [31, 32, 33]
 

@@ -81,7 +81,7 @@ def test_hide_reports_what_attack_returns(capsys, method):
     g = load_fixture("kar")
     outcome = attack(
         method, g, g.id_of("9"), DetectorSpec("greedy"),
-        get_preset("kar").config(beta=3, seed=7), seed=7,
+        get_preset("kar").config(beta=3), seed=7,
     )
     edges = {"added": [], "removed": []}
     for delta in outcome.deltas:
@@ -144,24 +144,34 @@ def test_missing_graph_exits_2(capsys):
     assert "not found" in err
 
 
+def _without_wall_ms(out: str) -> dict:
+    return {k: v for k, v in json.loads(out).items() if k != "wall_ms"}
+
+
 def test_config_file_applies_and_flags_beat_it(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tau": 0.8, "beta": 2, "seed": 5}), "utf-8")
-    plain = ("hide", "--graph", "kar", "--target", "9", "--preset", "kar")
+    cfg.write_text(json.dumps({"tau": 0.01, "beta": 2, "max_iter": 4}), "utf-8")
+    plain = ("hide", "--graph", "kar", "--target", "9", "--preset", "kar", "--seed", "3")
     base = plain + ("--config", str(cfg))
-    strip = lambda s: {k: v for k, v in json.loads(s).items() if k != "wall_ms"}
     _, out, _ = run_cli(capsys, *base)
-    obj = strip(out)
-    assert obj["tau"] == 0.8 and obj["beta"] == 2
-    _, seed_5, _ = run_cli(capsys, *plain, "--tau", "0.8", "--beta", "2", "--seed", "5")
-    _, seed_0, _ = run_cli(capsys, *plain, "--tau", "0.8", "--beta", "2", "--seed", "0")
-    assert obj == strip(seed_5) != strip(seed_0)  # the file's seed runs
+    obj = _without_wall_ms(out)
+    assert (obj["tau"], obj["beta"], obj["iterations"]) == (0.01, 2, 4)
+    _, flags, _ = run_cli(capsys, *plain, "--tau", "0.01", "--beta", "2", "--max-iter", "4")
+    assert obj == _without_wall_ms(flags)  # the file's settings run
     _, out, _ = run_cli(capsys, *base, "--tau", "0.3")
     obj = json.loads(out)
     assert obj["tau"] == 0.3 and obj["beta"] == 2
-    _, out, _ = run_cli(capsys, *base, "--seed", "7")
-    _, seed_7, _ = run_cli(capsys, *plain, "--tau", "0.8", "--beta", "2", "--seed", "7")
-    assert strip(out) == strip(seed_7) != strip(seed_5)  # the flag beats the file
+    _, out, _ = run_cli(capsys, *base, "--max-iter", "6")
+    assert json.loads(out)["iterations"] == 6  # the flag beats the file
+
+
+def test_config_file_with_the_tuned_weights_runs_as_the_preset(capsys, tmp_path):
+    # weights are relative: the kar preset's own, summing to 0.98, are a config
+    flags = ("--beta", "3", "--seed", "7")
+    _, preset, _ = run_cli(capsys, *HIDE_9, "--preset", "kar", *flags)
+    rc, out, err = run_cli(capsys, *HIDE_9, "--config", _json_file(tmp_path, KAR_AS_FILE), *flags)
+    assert rc == 0, err
+    assert _without_wall_ms(out) == _without_wall_ms(preset)
 
 
 def test_unknown_preset_exits_2(capsys):
@@ -248,12 +258,18 @@ BAD_INPUTS = {
     ),
     "weights inf": lambda tmp: HIDE_9 + ("--weights", "inf,1,1,1"),
     "weights sum overflows": lambda tmp: HIDE_9 + ("--weights", "1e308,1e308,0,0"),
+    "weights sum 0": lambda tmp: HIDE_9 + ("--weights", "0,0,0,0"),
+    "weights negative": lambda tmp: HIDE_9 + ("--weights", "1,-1,1,1"),
     "config weights nan": lambda tmp: HIDE_9 + (
         "--config", _json_file(tmp, {"weights": [float("nan"), 1, 1, 1]}),
     ),
-    "config weights sum 4": lambda tmp: HIDE_9 + (
+    "config weights sum 0": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--method", "random",
-        "--config", _json_file(tmp, {"weights": [1, 1, 1, 1]}),
+        "--config", _json_file(tmp, {"weights": [0, 0, 0, 0]}),
+    ),
+    # the attack seed is the --seed flag; a config holds settings only
+    "config seed": lambda tmp: HIDE_9 + (
+        "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"seed": 5}),
     ),
     "config removed key": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"q": 3}),
@@ -342,6 +358,9 @@ BAD_INPUTS = {
             "detector resolution": {"detector": {"algo": "louvain", "resolution": 1.0}},
             "nmi_variant": {"nmi_variant": "arithmetic"},
             "config seed": {"config": {"seed": 5}},  # attack seeds derive from the spec's seed
+            # each cell's tau and beta come from taus and beta_factors
+            "config tau": {"config": {"tau": 0.1}, **ONE_CELL},
+            "config beta": {"config": {"beta": 9}, **ONE_CELL},
             "preset false": {"preset": False},
             "methods empty": {"methods": []},
             "taus empty": {"taus": []},
@@ -376,7 +395,14 @@ BAD_INPUTS = {
 UNKNOWN_KEYS = {
     "config removed key": ("config", "q"),
     "spec config removed key": ("config", "squared_loss"),
+    "config seed": ("config", "seed"),
     "spec config seed": ("config", "seed"),
+    "spec config seed not integral": ("config", "seed"),
+    "spec config tau": ("config", "tau"),
+    "spec config value": ("config", "tau"),
+    "spec config beta": ("config", "beta"),
+    "spec config beta bool": ("config", "beta"),
+    "spec config beta not integral": ("config", "beta"),
     "spec detector resolution": ("detector", "resolution"),
     "spec nmi_variant": ("spec", "nmi_variant"),
     "spec fractions": ("spec", "fractions"),

@@ -1,6 +1,8 @@
+import concurrent.futures
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -242,6 +244,37 @@ def test_experiment_is_deterministic_across_jobs(cliques, cliques_report):
     assert strip(parallel.records) == strip(report.records)
 
 
+def test_pool_starts_no_more_workers_than_cells_or_cpus(cliques, cliques_report, monkeypatch):
+    # the fake pool records its size and runs the cells in this process, so
+    # no worker is ever forked
+    spec, report = cliques_report
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(evaluation, "_shared", None)
+    strip = lambda recs: [replace(r, wall_seconds=0.0) for r in recs]
+    for cpus, want in ((64, [2]), (1, [])):  # 2 cells; one CPU runs them serially
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pooled = run_experiment(cliques, replace(spec, jobs=10_000))
+        assert sizes == want
+        assert strip(pooled.records) == strip(report.records)
+
+
 @pytest.mark.parametrize("eval_detector", [None, DetectorSpec("louvain", seed=3)])
 def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detector):
     betweenness_calls = []
@@ -368,7 +401,7 @@ def _discrete_fields(r: TargetRecord) -> str:
 def test_records_are_locked_for_every_method(kar, name, preset, overrides, grid):
     p = get_preset(preset)
     spec = ExperimentSpec(
-        config=p.config(**overrides), mu_plus_one=p.mu_plus_one,
+        config=replace(p.config(), **overrides), mu_plus_one=p.mu_plus_one,
         taus=(0.3, 0.8), beta_factors=(0.5, 2.0), runs=1, **grid,
     )
     assert spec.methods == ALL_METHODS
@@ -383,14 +416,13 @@ def test_records_are_locked_for_every_method(kar, name, preset, overrides, grid)
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
-def test_attack_seed_comes_from_config_unless_given(kar, greedy, method):
+def test_attack_seed_defaults_to_0(kar, greedy, method):
     config = get_preset("kar").config(beta=3)
     u = kar.id_of("9")
-    via_config = evaluation.attack(method, kar, u, greedy, replace(config, seed=5))
-    via_argument = evaluation.attack(method, kar, u, greedy, config, seed=5)
-    assert via_config == via_argument
+    unseeded = evaluation.attack(method, kar, u, greedy, config)
+    assert unseeded == evaluation.attack(method, kar, u, greedy, config, seed=0)
     if method == "random":  # the seed is used at all
-        assert via_config != evaluation.attack(method, kar, u, greedy, config)
+        assert unseeded != evaluation.attack(method, kar, u, greedy, config, seed=5)
 
 
 @pytest.mark.parametrize("seed", [-1, 0.5, True])

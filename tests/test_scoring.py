@@ -18,6 +18,7 @@ from cmhide.graph import Graph
 from cmhide.scoring import (
     _BLOCK,
     betweenness,
+    check_weights,
     community_degrees,
     promising_actions,
     rank_scores,
@@ -367,10 +368,9 @@ def test_structural_scores_in_unit_interval(kar, kar_partition):
 
 
 def test_structural_scores_spreadsheet_oracle(kar, kar_partition):
-    weights = (0.33, 0.20, 0.21, 0.24)
-    total = sum(weights)
-    weights = tuple(w / total for w in weights)
-    s = structural_scores(kar, kar_partition, weights)
+    tuned = (0.33, 0.20, 0.21, 0.24)  # relative: structural_scores scales them
+    s = structural_scores(kar, kar_partition, tuned)
+    weights = tuple(w / sum(tuned) for w in tuned)
     intra, inter = community_degrees(kar, kar_partition)
     raw = (
         betweenness(kar),
@@ -384,11 +384,17 @@ def test_structural_scores_spreadsheet_oracle(kar, kar_partition):
     assert np.allclose(s.combined, manual, atol=1e-12)
 
 
+def test_check_weights_scales_relative_weights():
+    assert check_weights((1, 1, 1, 1)) == (0.25,) * 4
+
+
 def test_weights_validation():
     g = graph_from_edges([(0, 1)])
     part = Partition.from_communities([{0, 1}])
-    with pytest.raises(ConfigError):
-        structural_scores(g, part, weights=(0.5, 0.5, 0.5, 0.5))
+    with pytest.raises(ConfigError, match="positive, finite sum"):
+        structural_scores(g, part, weights=(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ConfigError, match="positive, finite sum"):
+        structural_scores(g, part, weights=(1e308, 1e308, 0.0, 0.0))
     with pytest.raises(ConfigError):
         structural_scores(g, part, weights=(1.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
