@@ -82,13 +82,10 @@ class Partition:
             groups[c].append(v)
         return tuple(map(frozenset, groups))
 
-    def community_of(self, v: int) -> int:
+    def community_members(self, v: int) -> frozenset[int]:
         if not 0 <= v < len(self.labels):
             raise KeyError(f"node {v} not covered by partition")
-        return self.labels[v]
-
-    def community_members(self, v: int) -> frozenset[int]:
-        c = self.community_of(v)
+        c = self.labels[v]
         return frozenset([w for w, x in enumerate(self.labels) if x == c])
 
     def membership(self, n: int) -> np.ndarray:
@@ -192,7 +189,6 @@ def _louvain(g: Graph, seed: int) -> Partition:
         k = [sum(adj[v].values()) + 2.0 * loops[v] for v in range(n)]
         node2com = list(range(n))
         sigma_tot = k[:]
-        moved_any = False
         for _ in range(1000):
             moved = False
             for v in rng.permutation(n):
@@ -205,8 +201,6 @@ def _louvain(g: Graph, seed: int) -> Partition:
                 sigma_tot[c_old] -= k[v]
                 best_c, best_gain = c_old, links[c_old] - sigma_tot[c_old] * k[v] / m2
                 for c in sorted(links):
-                    if c == c_old:
-                        continue
                     cand = links[c] - sigma_tot[c] * k[v] / m2
                     if cand > best_gain + _EPS_GAIN:
                         best_c, best_gain = c, cand
@@ -214,36 +208,27 @@ def _louvain(g: Graph, seed: int) -> Partition:
                 if best_c != c_old:
                     node2com[v] = best_c
                     moved = True
-                    moved_any = True
             if not moved:
                 break
-        if not moved_any:
-            return Partition.from_labels(carry)
-        # aggregate: new node per community, in order of first appearance; the
-        # level nodes are ordered by smallest original member, and so are these
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(node2com):
-            groups.setdefault(c, []).append(v)
-        com_of = {}
-        for i, vs in enumerate(groups.values()):
-            for v in vs:
-                com_of[v] = i
-        new_n = len(groups)
-        new_adj: list[dict[int, float]] = [dict() for _ in range(new_n)]
-        new_loops = [0.0] * new_n
-        for i, vs in enumerate(groups.values()):
-            for v in vs:
-                new_loops[i] += loops[v]
-                for u, w in adj[v].items():
-                    j = com_of[u]
-                    if j == i:
-                        if u > v:
-                            new_loops[i] += w
-                    else:
-                        new_adj[i][j] = new_adj[i].get(j, 0.0) + w
-        carry = [com_of[v] for v in carry]
+        # aggregate: a new node per community, in order of first appearance; the
+        # level nodes are ordered by smallest original member, and so are these.
+        # Weights are whole numbers, so the order of the sums changes none.
+        com_of = Partition.from_labels(node2com).labels
+        new_n = max(com_of) + 1
         if new_n == n:
             return Partition.from_labels(carry)
+        new_adj: list[dict[int, float]] = [dict() for _ in range(new_n)]
+        new_loops = [0.0] * new_n
+        for v, i in enumerate(com_of):
+            new_loops[i] += loops[v]
+            for u, w in adj[v].items():
+                j = com_of[u]
+                if j == i:
+                    if u > v:
+                        new_loops[i] += w
+                else:
+                    new_adj[i][j] = new_adj[i].get(j, 0.0) + w
+        carry = [com_of[v] for v in carry]
         adj, loops = new_adj, new_loops
 
 

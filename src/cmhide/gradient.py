@@ -277,23 +277,6 @@ def hide_projected(
     return hide(g, u, detector, replace(config, exhaust_budget=True), seed, scores, partition)
 
 
-def _rounds_to_flip(
-    bits: np.ndarray,
-    p_hat: np.ndarray,
-    step: np.ndarray,
-    blocked: np.ndarray,
-) -> np.ndarray:
-    """First round k >= 1 at which p_hat - k*step crosses into a bit flip."""
-    sign = np.where(bits == 0, 1.0, -1.0)  # the way p_hat must cross FLIP to flip a bit
-    rate = -sign * step  # progress toward that crossing per round
-    k = np.full(bits.size, np.inf)
-    moving = rate > 0
-    k[moving] = np.maximum(1.0, np.ceil((FLIP - sign[moving] * p_hat[moving]) / rate[moving]))
-    k[~moving & (sign * (p_hat - step) >= FLIP)] = 1.0  # past FLIP after one round anyway
-    k[blocked] = np.inf
-    return k
-
-
 def project_to_budget(
     bits: np.ndarray,
     u: int,
@@ -304,36 +287,41 @@ def project_to_budget(
 ) -> frozenset[int]:
     """Extend an applied flip set until the budget is exhausted.
 
-    Coordinates move along the averaged gradient without squashing; flips
-    are committed as they cross the thresholds and never retracted. When a
-    round would overshoot the budget, the crossing coordinates are ranked
-    by |p_hat| * |g_bar| and only the best fit. Coordinates the gradient
-    cannot reach are filled in by the same ranking at the end. bits is
-    node u's adjacency row.
+    Coordinates slide along the averaged gradient without squashing: after
+    r rounds p_hat - r * eta * g_bar. Each free coordinate flips at the
+    first round r >= 1 that leaves it across its threshold, computed once.
+    Flips are taken in order of that round, then of |p_hat| * |g_bar| at
+    it, largest first, then of id, until the budget is spent. Coordinates
+    the gradient cannot reach fill what is left, ranked by |p_hat| * |g_bar|
+    after the last crossing round, or by |p_hat| when g_bar is all zero.
+    bits is node u's adjacency row.
     """
     budget_left = config.beta - len(applied)
     if budget_left <= 0:
         return applied
-    blocked = np.zeros(bits.size, dtype=bool)  # the owner and every committed flip
+    blocked = np.zeros(bits.size, dtype=bool)  # the owner and every taken flip
     blocked[u] = True
     blocked[list(applied)] = True
-    p_hat = p_hat.astype(float)
     step = config.eta * g_bar
+    rounds = np.full(bits.size, np.inf)
     if np.any(step):
-        while budget_left > 0:
-            r = _rounds_to_flip(bits, p_hat, step, blocked).min()
-            if not np.isfinite(r):
-                break
-            p_hat = p_hat - r * step
-            fresh = np.flatnonzero((np.clip(bits + threshold(p_hat), 0, 1) != bits) & ~blocked)
-            if not fresh.size:
-                break
-            if fresh.size > budget_left:
-                fresh = top_ranked(np.abs(p_hat) * np.abs(g_bar), fresh, budget_left)
-            blocked[fresh] = True
-            budget_left -= len(fresh)
+        sign = np.where(bits == 0, 1.0, -1.0)  # the way p_hat must cross FLIP to flip a bit
+        rate = -sign * step  # progress toward that crossing per round
+        moving = rate > 0
+        rounds[moving] = np.maximum(
+            1.0, np.ceil((FLIP - sign[moving] * p_hat[moving]) / rate[moving])
+        )
+        rounds[~moving & (sign * (p_hat - step) >= FLIP)] = 1.0  # past FLIP after one round anyway
+        rounds[blocked] = np.inf
+    crossing = np.flatnonzero(np.isfinite(rounds))
+    r = rounds[crossing]
+    strength = np.abs(p_hat[crossing] - r * step[crossing]) * np.abs(g_bar[crossing])
+    taken = crossing[np.lexsort((crossing, -strength, r))[:budget_left]]
+    blocked[taken] = True
+    budget_left -= taken.size
     if budget_left > 0:
-        strength = np.abs(p_hat) * np.abs(g_bar) if np.any(g_bar) else np.abs(p_hat)
+        last = r.max(initial=0.0)
+        strength = np.abs(p_hat - last * step) * np.abs(g_bar) if np.any(g_bar) else np.abs(p_hat)
         blocked[top_ranked(strength, np.flatnonzero(~blocked), budget_left)] = True
     blocked[u] = False
     return frozenset(np.flatnonzero(blocked).tolist())

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -35,6 +37,24 @@ def greedy() -> DetectorSpec:
 def kar_partition(kar, greedy):
     return detect(kar, greedy)
 
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """The max_workers of each process pool started, on a machine reporting two CPUs.
+
+    The pools are real, so a parallel run forks its workers on any machine.
+    """
+    sizes: list[int] = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    return sizes
 
 def graph_from_edges(edges) -> Graph:
     return Graph([(str(a), str(b)) for a, b in edges])

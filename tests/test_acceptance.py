@@ -402,7 +402,7 @@ def strip_wall(csv_text: str, drop: tuple[str, ...]) -> list[tuple[str, ...]]:
     return [tuple(row[i] for i in keep) for row in rows]
 
 
-def test_criterion_9_parallel_determinism(capsys, tmp_path):
+def test_criterion_9_parallel_determinism(capsys, tmp_path, pool_sizes):
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps(
@@ -431,6 +431,7 @@ def test_criterion_9_parallel_determinism(capsys, tmp_path):
         )
         outputs.append((summary, records))
     capsys.readouterr()  # swallow the printed summary paths
+    assert pool_sizes == [2]  # --jobs 2 ran in two worker processes
     ok = outputs[0] == outputs[1]
     _report(
         capsys, "criterion 9 (parallel determinism)", ok,

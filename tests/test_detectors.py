@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import heapq
 import itertools
 import tracemalloc
@@ -80,6 +81,46 @@ def test_louvain_seed_changes_are_isolated(kar):
         )
 
 
+# sha256 of " ".join(labels), per graph and seed; each graph takes 3 or 4 levels
+LOUVAIN_LOCKS = {
+    "blocks600": {
+        0: "12cf95a2bd3c59090aeb43767e7ff3be1595cdf769b19ebbce9ad976e312f508",
+        1: "89b1e1bc3510dc04e1bd8abbfb0272ec02acc845ff6f1642fd16b0959d6c65a1",
+        3: "fcd4e03005af0813cf81be528191e95b6d238df79ed2c69b0633643498c987ea",
+    },
+    "random60_0": {
+        0: "31fe38cc500fc8405f3cd67483f7a9faaa41499e1c1c2b12a1077415246c4044",
+        1: "5ba378de206e797bc18ad422d8942c202ee4f1422938f5ed784e2ee2799aa54e",
+        3: "adefc7fc93554cebdd76df28044692bfc5e667ebbc7161ca83fed1d41d380b5a",
+    },
+    "random60_1": {
+        0: "0cd9c6b5fe6c1f2d22890c74e8a6c9d80cf81b9dc013f87b2c1ee057e3d7e5dc",
+        1: "bf002273a4c9e3c568b747f776edaa3e7e299cd7205ec892bc8dedc4e2a9bded",
+        3: "2090b3b2082c04e12870f55a04062c1306a1a6421a06c5ad336f92c97a430aaf",
+    },
+    "random60_2": {
+        0: "12099854596183136bb0d47b638b474bdd3f551fbcce9c1114399d5be048b2b0",
+        1: "107ba0197668fbf46fe5b3d1609306fe495b2beb7d3e9de19d8b4b5968c0d8eb",
+        3: "6569f0c690976a74aa9b797ac14d311f6eb0bd7ee71cc7ee25c4a155061fa33c",
+    },
+}
+
+
+def test_louvain_labels_are_locked_beyond_karate():
+    graphs = {"blocks600": planted_blocks([40, 80, 160, 320], 0.08, 0.004, seed=1)}
+    graphs.update((f"random60_{s}", random_graph(60, 0.08, s)) for s in range(3))
+    got = {
+        name: {
+            seed: hashlib.sha256(
+                " ".join(map(str, detect(g, DetectorSpec("louvain", seed)).labels)).encode()
+            ).hexdigest()
+            for seed in LOUVAIN_LOCKS[name]
+        }
+        for name, g in graphs.items()
+    }
+    assert got == LOUVAIN_LOCKS
+
+
 def test_greedy_never_spans_components():
     g = graph_from_edges([(0, 1), (1, 2), (3, 4), (4, 5)])
     part = detect(g, DetectorSpec("greedy"))
@@ -90,7 +131,7 @@ def test_greedy_never_spans_components():
 def test_partition_helpers(kar_partition):
     c = kar_partition.community_members(0)
     assert 0 in c
-    assert kar_partition.community_of(0) == kar_partition.community_of(min(c))
+    assert kar_partition.labels[0] == kar_partition.labels[min(c)]
     membership = kar_partition.membership(34)
     assert len(membership) == 34
     for v in c:

@@ -237,9 +237,10 @@ def test_experiment_produces_full_sorted_grid(cliques, cliques_report):
     assert report.meta["runs"] == 2 and report.meta["n"] == cliques.n
 
 
-def test_experiment_is_deterministic_across_jobs(cliques, cliques_report):
+def test_experiment_is_deterministic_across_jobs(cliques, cliques_report, pool_sizes):
     spec, report = cliques_report
     parallel = run_experiment(cliques, replace(spec, jobs=2))
+    assert pool_sizes == [2]
     strip = lambda recs: [replace(r, wall_seconds=0.0) for r in recs]
     assert strip(parallel.records) == strip(report.records)
 

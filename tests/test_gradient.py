@@ -16,6 +16,7 @@ from cmhide import (
     hide,
 )
 from cmhide.gradient import (
+    FLIP,
     HidingOutcome,
     community_similarity,
     dice_similarity,
@@ -27,6 +28,7 @@ from cmhide.gradient import (
 )
 from cmhide import gradient
 from cmhide.graph import Graph
+from cmhide.scoring import top_ranked
 
 
 def test_dice_similarity_examples():
@@ -172,6 +174,82 @@ def test_projection_skips_already_applied_coordinates():
         bits, 3, p_hat, g_bar, frozenset({1}), HidingConfig(beta=2, eta=0.6)
     )
     assert toggled == frozenset({0, 1})
+
+
+
+def sliding_projection(bits, u, p_hat, g_bar, applied, config):
+    """project_to_budget as a round-by-round slide: the reference it must equal.
+
+    Each pass moves p_hat on to the next round at which a free coordinate
+    crosses its threshold and commits every coordinate that has crossed;
+    when that overshoots the budget, the crossing coordinates are ranked by
+    |p_hat| * |g_bar|. Once no coordinate can cross, the rest of the budget
+    is filled by the same ranking, or by |p_hat| when g_bar is all zero.
+    """
+
+    def rounds_to_flip(p_hat, step, blocked):
+        sign = np.where(bits == 0, 1.0, -1.0)
+        rate = -sign * step
+        k = np.full(bits.size, np.inf)
+        moving = rate > 0
+        k[moving] = np.maximum(1.0, np.ceil((FLIP - sign[moving] * p_hat[moving]) / rate[moving]))
+        k[~moving & (sign * (p_hat - step) >= FLIP)] = 1.0
+        k[blocked] = np.inf
+        return k
+
+    budget_left = config.beta - len(applied)
+    if budget_left <= 0:
+        return applied
+    blocked = np.zeros(bits.size, dtype=bool)
+    blocked[u] = True
+    blocked[list(applied)] = True
+    p_hat = p_hat.astype(float)
+    step = config.eta * g_bar
+    if np.any(step):
+        while budget_left > 0:
+            r = rounds_to_flip(p_hat, step, blocked).min()
+            if not np.isfinite(r):
+                break
+            p_hat = p_hat - r * step
+            fresh = np.flatnonzero((np.clip(bits + threshold(p_hat), 0, 1) != bits) & ~blocked)
+            if not fresh.size:
+                break
+            if fresh.size > budget_left:
+                fresh = top_ranked(np.abs(p_hat) * np.abs(g_bar), fresh, budget_left)
+            blocked[fresh] = True
+            budget_left -= len(fresh)
+    if budget_left > 0:
+        strength = np.abs(p_hat) * np.abs(g_bar) if np.any(g_bar) else np.abs(p_hat)
+        blocked[top_ranked(strength, np.flatnonzero(~blocked), budget_left)] = True
+    blocked[u] = False
+    return frozenset(np.flatnonzero(blocked).tolist())
+
+
+@pytest.mark.parametrize(
+    "seed, case",
+    enumerate(["sparse gradient", "zero gradient", "budget spent", "budget above row"]),
+)
+def test_projection_equals_the_round_by_round_slide(seed, case):
+    rng = np.random.default_rng(seed)
+    for _ in range(3000 if case == "sparse gradient" else 300):
+        n = int(rng.integers(2, 40))
+        u = int(rng.integers(n))
+        bits = (rng.random(n) < 0.3).astype(np.int8)
+        bits[u] = 0
+        p_hat = np.tanh(rng.normal(size=n))
+        p_hat[u] = 0.0
+        g_bar = rng.normal(size=n) * (rng.random(n) < rng.uniform(0.05, 0.6))
+        g_bar[u] = 0.0
+        if case == "zero gradient":
+            g_bar = np.zeros(n)
+        low, high = (n, 2 * n + 2) if case == "budget above row" else (1, n)
+        beta = int(rng.integers(low, high))
+        size = beta if case == "budget spent" else int(rng.integers(0, min(beta, n - 1)))
+        applied = frozenset(rng.choice(np.delete(np.arange(n), u), size, replace=False).tolist())
+        config = HidingConfig(beta=beta, eta=float(rng.uniform(0.005, 1.0)))
+        got = project_to_budget(bits, u, p_hat, g_bar, applied, config)
+        assert got == sliding_projection(bits, u, p_hat, g_bar, applied, config)
+        assert applied <= got and u not in got and len(got) == min(beta, n - 1)
 
 
 def test_hiding_config_rejects_bad_knobs():
