@@ -70,7 +70,7 @@ class HidingConfig:
 
 @dataclass(frozen=True)
 class HidingOutcome:
-    """Result of one hiding attempt on one target node."""
+    """Result of one hiding attempt on one target node; restarts counts truncated steps."""
 
     target: int
     success: bool
@@ -189,14 +189,15 @@ def hide(
     first row whose similarity is at most tau and returns the best row
     scored. Adam steps theta, with p_hat = tanh(theta); the loss gradient is
     taken with respect to p_hat, without the chain factor 1 - p_hat**2. A
-    step that proposes more than beta flips restarts Adam from a fresh
-    point. With config.exhaust_budget the search ends with project_to_budget,
-    which spends whatever budget is left. `seed` draws the starting points.
+    step that proposes more than beta flips keeps the beta of them ranked
+    highest by |p_hat| * |grad|, ties to the smaller id, and Adam goes on
+    from the theta it moved. With config.exhaust_budget the search ends with
+    project_to_budget, which spends whatever budget is left. `seed` draws
+    the one starting point.
     """
     t_start = time.perf_counter()
     n = g.n
     partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
-    rng = np.random.default_rng(seed)
     if scores is None:
         scores = structural_scores(g, partition, config.weights)
     target_vec = promising_actions(u, partition, scores)
@@ -216,32 +217,27 @@ def hide(
             hit = scored[delta] = (community_similarity(reference, part2, u), g2, part2)
         return hit[0]
 
-    def start() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """A fresh theta and p_hat = tanh(theta), and Adam's moments and step count zeroed."""
-        theta = np.arctanh(rng.uniform(-0.5, 0.5, n))
-        theta[u] = 0.0
-        return theta, np.tanh(theta), np.zeros(n), np.zeros(n), 0
-
-    theta, p_hat, m, v, adam_t = start()
-    g_acc = np.zeros(n)  # GAMMA-discounted gradient sum, kept across restarts
+    theta = np.arctanh(np.random.default_rng(seed).uniform(-0.5, 0.5, n))
+    theta[u] = 0.0
+    p_hat, m, v = np.tanh(theta), np.zeros(n), np.zeros(n)
+    g_acc = np.zeros(n)  # GAMMA-discounted gradient sum
     restarts = iterations = 0
     # the first row that hides u is scored lower than every row before it
     while scored[best][0] > config.tau and iterations < config.max_iter:
         iterations += 1
         grad = loss_gradient(p_hat, target_vec, row, config.lam, owner=u)
         g_acc = GAMMA * g_acc + grad
-        adam_t += 1
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**adam_t)
-        v_hat = v / (1.0 - ADAM_BETA2**adam_t)
+        m_hat = m / (1.0 - ADAM_BETA1**iterations)
+        v_hat = v / (1.0 - ADAM_BETA2**iterations)
         theta = theta - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p_hat = np.tanh(theta)
         delta = delta_between(u, bits, clamp_add(bits, u, threshold(p_hat)))
         if delta.size > config.beta:
             restarts += 1
-            theta, p_hat, m, v, adam_t = start()
-        elif score(delta) < scored[best][0]:
+            delta = EdgeDelta(u, top_ranked(np.abs(p_hat * grad), list(delta.toggled), config.beta))
+        if score(delta) < scored[best][0]:
             best = delta
 
     if config.exhaust_budget:

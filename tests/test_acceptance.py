@@ -235,7 +235,7 @@ def test_criterion_3_search_loop_invariants(capsys):
     betas = (1, 2, 3)
     etas = (0.03, 0.079, 0.2, 0.6)
     violations: list[str] = []
-    flipped = restarted = 0
+    flipped = truncated = 0
     for i in range(1000):
         name = names[i % 3]
         g = fixtures[name]
@@ -262,12 +262,12 @@ def test_criterion_3_search_loop_invariants(capsys):
                 f"run {i}: exhaust left budget at {outcome.used_budget}/{config.beta}"
             )
         flipped += bool(outcome.used_budget)
-        restarted += bool(outcome.restarts)
+        truncated += bool(outcome.restarts)
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 60
     _report(
         capsys, "criterion 3 (loop invariants)", ok,
-        f"1000 runs, {flipped} rewired, {restarted} restarted, "
+        f"1000 runs, {flipped} rewired, {truncated} truncated, "
         f"{len(violations)} violations in {elapsed:.1f}s",
     )
     assert not violations, violations[:5]

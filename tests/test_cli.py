@@ -151,7 +151,8 @@ def _without_wall_ms(out: str) -> dict:
 def test_config_file_applies_and_flags_beat_it(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tau": 0.01, "beta": 2, "max_iter": 4}), "utf-8")
-    plain = ("hide", "--graph", "kar", "--target", "9", "--preset", "kar", "--seed", "3")
+    # target 0 is not hidden at tau 0.01 within 6 iterations, so --max-iter sets the count
+    plain = ("hide", "--graph", "kar", "--target", "0", "--preset", "kar", "--seed", "3")
     base = plain + ("--config", str(cfg))
     _, out, _ = run_cli(capsys, *base)
     obj = _without_wall_ms(out)

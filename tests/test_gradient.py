@@ -27,8 +27,10 @@ from cmhide.gradient import (
     threshold,
 )
 from cmhide import gradient
+from cmhide.evaluation import budget_for
 from cmhide.graph import Graph
-from cmhide.scoring import top_ranked
+from cmhide.scoring import promising_actions, structural_scores, top_ranked
+from conftest import planted_blocks
 
 
 def test_dice_similarity_examples():
@@ -313,15 +315,38 @@ def test_hide_is_deterministic_and_consistent(kar, greedy):
     assert_replays(kar, first, greedy, 3)
 
 
-def test_hide_restarts_when_one_step_overshoots_budget(kar, greedy):
-    # a huge step rate saturates tanh, so every iteration flips far more
-    # than one edge and trips the restart path
+def test_hide_restarts_when_one_step_overshoots_budget(kar, greedy, kar_partition, monkeypatch):
+    # a huge step rate saturates tanh, so every iteration proposes far more
+    # than one flip and is truncated to the one ranked highest
+    calls = []
+
+    def recording_detect(g, spec):
+        calls.append(g)
+        return detect(g, spec)
+
+    monkeypatch.setattr(gradient, "detect", recording_detect)
     config = HidingConfig(tau=0.3, beta=1, eta=5.0, max_iter=10)
-    outcome = hide(kar, 0, greedy, config, seed=1)
-    assert outcome.restarts > 0
-    assert outcome.iterations == 10
+    outcome = hide(kar, 0, greedy, config, seed=1, partition=kar_partition)
+    assert outcome.restarts == outcome.iterations == 10
+    assert outcome.detections == len(calls) >= 1
+    bits = kar.row(0)
+    assert all(np.count_nonzero(g.row(0) != bits) <= config.beta for g in calls)
     assert not outcome.success
     assert_replays(kar, outcome, greedy, 1)
+    # the first step, from the seeded start with zeroed moments: Adam moves
+    # theta by eta * grad / |grad|
+    theta = np.arctanh(np.random.default_rng(1).uniform(-0.5, 0.5, kar.n))
+    theta[0] = 0.0
+    p_hat = np.tanh(theta)
+    scores = structural_scores(kar, kar_partition, config.weights)
+    target_vec = promising_actions(0, kar_partition, scores)
+    grad = loss_gradient(p_hat, target_vec, bits.astype(float), config.lam, owner=0)
+    p_hat = np.tanh(theta - config.eta * grad / (np.abs(grad) + gradient.ADAM_EPS))
+    step = threshold(p_hat)
+    proposed = np.flatnonzero((bits == 0) & (step == 1) | (bits == 1) & (step == -1))
+    assert proposed.size > config.beta
+    kept = top_ranked(np.abs(p_hat) * np.abs(grad), proposed, config.beta)
+    assert sorted(np.flatnonzero(calls[0].row(0) != bits).tolist()) == sorted(kept)
 
 
 def test_hide_failure_reports_best_feasible_rewiring(kar, greedy):
@@ -370,13 +395,30 @@ def test_hide_rejects_target_outside_graph(kar, greedy):
 
 def test_hide_succeeds_inside_clique(cliques, greedy):
     config = get_preset("kar").config(tau=0.3, beta=4)
-    outcome = hide(cliques, 7, greedy, config, seed=2)
+    outcome = hide(cliques, 7, greedy, config, seed=1)
     assert_replays(cliques, outcome, greedy, 4)
     assert outcome.success
     assert outcome.similarity == 0.0
     assert sorted(outcome.delta.toggled) == [4, 6, 8, 9]
     assert outcome.used_budget == 4
-    assert outcome.restarts == 2
+    assert outcome.restarts == 26
+
+
+def test_hide_searches_at_a_thousand_nodes(greedy):
+    # every step here proposes more than beta flips; truncating them to the
+    # top beta lets the search score rows and hide each target
+    g = planted_blocks([100] * 10, 0.1, 0.002, seed=1)
+    preset = get_preset("kar")
+    beta = budget_for(g, 0.5, preset.mu_plus_one)
+    assert beta == 3
+    config = preset.config(tau=0.5, beta=beta)
+    partition = detect(g, greedy)
+    scores = structural_scores(g, partition, config.weights)
+    for u in (352, 383, 365):
+        outcome = hide(g, u, greedy, config, seed=u, scores=scores, partition=partition)
+        assert outcome.success
+        assert outcome.detections >= 1
+        assert_replays(g, outcome, greedy, beta)
 
 
 def test_projected_variant_spends_remaining_budget(kar, greedy):
@@ -392,9 +434,9 @@ def test_projected_variant_spends_remaining_budget(kar, greedy):
 
 def test_projected_variant_skips_detection_when_budget_already_full(cliques, greedy):
     config = get_preset("kar").config(tau=0.3, beta=4)
-    plain = hide(cliques, 7, greedy, config, seed=2)
+    plain = hide(cliques, 7, greedy, config, seed=1)
     assert plain.used_budget == 4
-    projected = hide_projected(cliques, 7, greedy, config, seed=2)
+    projected = hide_projected(cliques, 7, greedy, config, seed=1)
     assert projected.deltas == plain.deltas
     assert projected.detections == plain.detections
 
@@ -440,9 +482,9 @@ def test_hide_detects_each_row_once_and_counts_every_call(kar, monkeypatch):
     configs = [
         kar_config,
         replace(kar_config, tau=0.01, max_iter=3),  # fails, then projects
-        replace(kar_config, tau=0.01, beta=2, max_iter=40),  # restarts
+        replace(kar_config, tau=0.01, beta=2, max_iter=40),  # truncates
     ]
-    restarted = projected_after_failure = False
+    truncated = projected_after_failure = False
     for algo in ("greedy", "louvain", "label_propagation"):
         for config in configs:
             for exhaust in (False, True):
@@ -455,6 +497,6 @@ def test_hide_detects_each_row_once_and_counts_every_call(kar, monkeypatch):
                     assert outcome.detections == len(calls)
                     distinct = {frozenset(g.edges()) for g in calls}
                     assert len(distinct) == len(calls)
-                    restarted |= outcome.restarts > 0 and outcome.detections > 1
+                    truncated |= outcome.restarts > 0 and outcome.detections > 1
                     projected_after_failure |= exhaust and outcome.iterations == config.max_iter
-    assert restarted and projected_after_failure
+    assert truncated and projected_after_failure
