@@ -135,7 +135,8 @@ def run_baseline(
 ) -> HidingOutcome:
     """Apply the named baseline's rewiring to node u and score it.
 
-    `seed` drives `random`. `scores`, the
+    A plan gets at most the n - 1 flips of a row as its budget, so `random`
+    draws no more than that. `seed` drives `random`. `scores`, the
     structural scores of g, spare `centrality` its own betweenness pass.
     """
     try:
@@ -146,7 +147,7 @@ def run_baseline(
         ) from None
     t_start = time.perf_counter()
     partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
-    deltas = plan(g, u, partition.community_members(u), config.beta, seed, scores)
+    deltas = plan(g, u, partition.community_members(u), min(config.beta, g.n - 1), seed, scores)
     g2 = g
     used = 0
     for d in deltas:

@@ -2,9 +2,10 @@
 
 Machine output is JSON (or CSV for tabular data) on stdout or --out;
 --verbose adds a human-readable digest on stderr. Exit codes: 0 success,
-1 hiding failed under --strict, 2 usage or config errors. `hide` takes its
-settings from a built-in --preset, then a --config file, then its flags,
-each beating the one before.
+1 hiding failed under --strict, 2 usage or config errors. `hide` takes tau
+and beta from --tau and --beta alone, and its optimiser settings from a
+built-in --preset, then a --config file, then its flags, each beating the
+one before.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .evaluation import (
     SummaryRow,
     TargetRecord,
     attack,
-    budget_for,
     report_to_json,
     run_experiment,
     write_csv,
@@ -39,8 +39,9 @@ from .presets import PRESET_NAMES, get_preset
 from .schema import from_json, load_json, read_text
 from .scoring import DEFAULT_WEIGHTS, check_weights, pagerank, structural_scores
 
-# the method name alone sets exhaust_budget
-_CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig)) - {"exhaust_budget"}
+# one schema for a --config file and a spec's `config`: tau and beta come from
+# the flags or the grid, exhaust_budget from the method name
+_CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig)) - {"tau", "beta", "exhaust_budget"}
 
 # a spec's `jobs` is left to --jobs
 _SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.name != "jobs")}
@@ -201,19 +202,15 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
     preset = obj.pop("preset", None)
     preset = get_preset(str(preset)) if preset is not None else None
     base = preset.config() if preset else HidingConfig()
-    keys = _CONFIG_KEYS - {"tau", "beta"}  # each cell's tau and beta come from the grid
     obj["config"] = from_json(
-        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), keys
+        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _CONFIG_KEYS
     )
     for key in ("detector", "eval_detector"):
         if obj.get(key) is not None:
             obj[key] = _detector_from_json(obj[key], key)
     if preset:
         obj.setdefault("mu_plus_one", preset.mu_plus_one)
-    spec = ExperimentSpec(**obj)
-    for factor in spec.beta_factors:  # a finite factor can still overflow on this graph
-        budget_for(g, factor, spec.mu_plus_one)
-    return g, spec
+    return g, ExperimentSpec(**obj)
 
 
 def _cmd_benchmark(args) -> int:

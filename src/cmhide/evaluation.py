@@ -86,16 +86,16 @@ def f1_score(success_rate: float, nmi_value: float) -> float:
     return 2.0 * success_rate * nmi_value / s
 
 
-def _check_budget_factor(factor: float, mu: float = 1.0) -> None:
-    if not (factor > 0 and math.isfinite(mu * factor)):  # a finite factor can still overflow
-        raise ConfigError(f"budget factor must be positive with a finite budget, got {factor!r}")
-
-
 def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
-    """Flip budget from the mean-degree-per-edge unit mu = m/n, at least 1."""
+    """Flip budget from the mean-degree-per-edge unit mu = m/n.
+
+    At least 1, and at most the n - 1 flips of a row; mu * factor is capped
+    at n before it is floored, so no positive finite factor overflows.
+    """
+    if not 0 < factor < math.inf:
+        raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
     mu = g.m / g.n + (1.0 if mu_plus_one else 0.0)
-    _check_budget_factor(factor, mu)
-    return max(1, math.floor(mu * factor))
+    return max(1, min(g.n - 1, math.floor(min(mu * factor, g.n))))
 
 
 def sample_targets(partition: Partition, seed: int, cap: int) -> tuple[int, ...]:
@@ -174,8 +174,9 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} must be at least 1")
         for tau in self.taus:
             replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
-        for factor in self.beta_factors:
-            _check_budget_factor(factor)
+        for factor in self.beta_factors:  # check_types leaves entries unranged
+            if not 0 < factor < math.inf:
+                raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
 
     @property
     def effective_eval_detector(self) -> DetectorSpec:

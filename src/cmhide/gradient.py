@@ -168,7 +168,7 @@ def _prepare_target(
     reference = partition.community_members(u) - {u}
     if not reference:
         raise SingletonCommunityError(
-            f"node {u} forms a singleton community; nothing to hide"
+            f"node {g.label_of(u)!r} forms a singleton community; nothing to hide"
         )
     return partition, reference, detections
 

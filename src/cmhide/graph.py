@@ -9,11 +9,10 @@ mutated.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Collection, Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -208,20 +207,17 @@ def delta_between(owner: int, a: np.ndarray, b: np.ndarray) -> EdgeDelta:
     return EdgeDelta(owner, frozenset(np.flatnonzero(a != b).tolist()))
 
 
-def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, LoadStats]:
-    """Parse a whitespace-separated edge list; returns the graph and counters.
+def load_edge_list_with_stats(source: str) -> tuple[Graph, LoadStats]:
+    """Parse the text of a whitespace-separated edge list; returns the graph and counters.
 
-    Lines starting with '#' or '%' are comments. Duplicate lines (either
-    orientation) collapse; self-loop lines are dropped and counted.
+    Lines end at '\n' only. Lines starting with '#' or '%' are comments.
+    Duplicate lines (either orientation) collapse; self-loop lines are
+    dropped and counted.
     """
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode())
-    elif isinstance(source, str):
-        source = io.StringIO(source)
     stats = LoadStats()
     ids: dict[str, int] = {}
     pairs: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(source.split("\n"), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -246,6 +242,6 @@ def load_edge_list_with_stats(source: Union[IO, str, bytes]) -> tuple[Graph, Loa
     return Graph._from_id_pairs(ids, pairs), stats
 
 
-def load_edge_list(source: Union[IO, str, bytes]) -> Graph:
+def load_edge_list(source: str) -> Graph:
     graph, _ = load_edge_list_with_stats(source)
     return graph

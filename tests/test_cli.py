@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -150,18 +151,18 @@ def _without_wall_ms(out: str) -> dict:
 
 def test_config_file_applies_and_flags_beat_it(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tau": 0.01, "beta": 2, "max_iter": 4}), "utf-8")
+    cfg.write_text(json.dumps({"max_iter": 4}), "utf-8")
     # target 0 is not hidden at tau 0.01 within 6 iterations, so --max-iter sets the count
-    plain = ("hide", "--graph", "kar", "--target", "0", "--preset", "kar", "--seed", "3")
+    plain = (
+        "hide", "--graph", "kar", "--target", "0", "--preset", "kar", "--seed", "3",
+        "--tau", "0.01", "--beta", "2",
+    )
     base = plain + ("--config", str(cfg))
     _, out, _ = run_cli(capsys, *base)
     obj = _without_wall_ms(out)
     assert (obj["tau"], obj["beta"], obj["iterations"]) == (0.01, 2, 4)
-    _, flags, _ = run_cli(capsys, *plain, "--tau", "0.01", "--beta", "2", "--max-iter", "4")
+    _, flags, _ = run_cli(capsys, *plain, "--max-iter", "4")
     assert obj == _without_wall_ms(flags)  # the file's settings run
-    _, out, _ = run_cli(capsys, *base, "--tau", "0.3")
-    obj = json.loads(out)
-    assert obj["tau"] == 0.3 and obj["beta"] == 2
     _, out, _ = run_cli(capsys, *base, "--max-iter", "6")
     assert json.loads(out)["iterations"] == 6  # the flag beats the file
 
@@ -216,7 +217,13 @@ KAR_AS_FILE = {"eta": 0.079, "lam": 1.71, "max_iter": 120, "weights": [0.33, 0.2
 ONE_CELL = {"methods": ["dice"], "taus": [0.5], "beta_factors": [1.0], "max_targets": 1}
 
 BAD_INPUTS = {
-    "config value": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"tau": "x"})),
+    "config value": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"eta": "x"})),
+    # tau and beta come from --tau and --beta alone
+    "config tau": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"tau": 0.1})),
+    "config beta": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"beta": 9})),
+    "singleton target": lambda tmp: (
+        "hide", "--graph", _bytes_file(tmp, b"x x\na b\n"), "--target", "x",
+    ),
     "partition label": lambda tmp: (
         "analyze", "scores", "--graph", "kar",
         "--partition", _json_file(tmp, {"communities": [["0", "zz"]]}),
@@ -274,10 +281,6 @@ BAD_INPUTS = {
     ),
     "config removed key": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"q": 3}),
-    ),
-    "spec budget overflows": lambda tmp: (
-        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "beta_factors": [1e308]}),
-        "--out", str(tmp / "out"), "--jobs", "1",
     ),
     "spec config removed key": lambda tmp: (
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"squared_loss": True}}),
@@ -381,6 +384,7 @@ BAD_INPUTS = {
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"exhaust_budget": "false"}),
     ),
     "config beta bool": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"beta": True})),
+    "config max_iter bool": lambda tmp: HIDE_9 + ("--config", _json_file(tmp, {"max_iter": True})),
     "detect seed negative": lambda tmp: (
         "detect", "--graph", "kar", "--algo", "louvain", "--seed", "-1",
     ),
@@ -397,6 +401,9 @@ UNKNOWN_KEYS = {
     "config removed key": ("config", "q"),
     "spec config removed key": ("config", "squared_loss"),
     "config seed": ("config", "seed"),
+    "config tau": ("config", "tau"),
+    "config beta": ("config", "beta"),
+    "config beta bool": ("config", "beta"),
     "spec config seed": ("config", "seed"),
     "spec config seed not integral": ("config", "seed"),
     "spec config tau": ("config", "tau"),
@@ -424,7 +431,11 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     argv = BAD_INPUTS[case](tmp_path)
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2
-    assert err.startswith("cmhide: error:")
+    *notes, line = err.splitlines()  # one error line, after any notes on the input
+    assert line.startswith("cmhide: error:")
+    assert all(note.startswith("cmhide: note:") for note in notes)
+    if case == "singleton target":  # the node is named by its label, not its id
+        assert "node 'x' forms a singleton community" in line
     if "--weights" in argv:  # the message quotes what was typed
         assert repr(argv[argv.index("--weights") + 1]) in err
     if case in UNREADABLE_FILES:  # and names the file
@@ -438,6 +449,29 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
         what, key = UNKNOWN_KEYS[case]
         assert f"unknown {what} keys" in err
         assert err.rstrip().endswith(f": {key}")
+
+
+def test_spec_budget_beyond_a_row_runs_at_n_minus_1(capsys, tmp_path):
+    # mu * 1e308 overflows to infinity; the budget is capped at the 33 flips of a row
+    spec = {
+        "graph": "kar", "methods": ["random", "dice"], "taus": [0.5], "runs": 1,
+        "max_targets": 1, "beta_factors": [1e308],
+    }
+    out_dir = tmp_path / "out"
+    argv = ("benchmark", "--spec", _json_file(tmp_path, spec), "--out", str(out_dir), "--jobs", "1")
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    records = list(csv.DictReader((out_dir / "records.csv").read_text("utf-8").splitlines()))
+    assert records and {r["beta"] for r in records} == {"33"}
+    assert all(int(r["used_budget"]) <= 33 for r in records)
+
+
+def test_hide_budget_beyond_a_row_exits_0(capsys):
+    # `random` draws at most the n - 1 = 33 flips of a row, not 10**20
+    rc, out, err = run_cli(capsys, *HIDE_9, "--method", "random", "--beta", str(10**20))
+    assert rc == 0, err
+    obj = json.loads(out)
+    assert obj["beta"] == 10**20 and obj["used_budget"] <= 33
 
 
 KAR_NODES = [str(v) for v in range(34)]

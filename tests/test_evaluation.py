@@ -80,11 +80,13 @@ def test_budget_scales_with_mean_degree(kar):
     assert budget_for(kar, 1.0) == 2
     ring = Graph([(str(i), str((i + 1) % 5)) for i in range(5)])
     assert budget_for(ring, 0.5) == 1  # floor(0.5) is clamped up to 1
-    for factor in (0.0, math.nan, math.inf):
-        with pytest.raises(ConfigError):
+    # a row has n - 1 flips: no budget exceeds them, and mu * 1e308, which
+    # overflows to infinity, is capped like any other
+    assert budget_for(ring, 10.0) == 4
+    assert budget_for(kar, 20.0) == budget_for(kar, 1e308) == budget_for(kar, 1e308, True) == 33
+    for factor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="budget factor must be positive and finite"):
             budget_for(kar, factor)
-    with pytest.raises(ConfigError, match=r"budget, got 1e\+308"):  # finite, but mu * factor is not
-        budget_for(kar, 1e308)
 
 
 # blocks of 10, 8, 5, 3 and 4 members: 30/50/80 percent of the largest
@@ -424,6 +426,15 @@ def test_attack_seed_defaults_to_0(kar, greedy, method):
     assert unseeded == evaluation.attack(method, kar, u, greedy, config, seed=0)
     if method == "random":  # the seed is used at all
         assert unseeded != evaluation.attack(method, kar, u, greedy, config, seed=5)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_no_method_spends_more_than_a_row(kar, greedy, method):
+    config = replace(get_preset("kar").config(beta=10**20), max_iter=5)  # keeps the search short
+    outcome = evaluation.attack(method, kar, kar.id_of("9"), greedy, config, seed=0)
+    assert outcome.used_budget <= kar.n - 1 == 33
+    if method in ("gradient_projected", "degree", "centrality"):  # each spends the budget
+        assert outcome.used_budget == 33
 
 
 @pytest.mark.parametrize("seed", [-1, 0.5, True])

@@ -46,6 +46,15 @@ def test_malformed_line_reports_line_number():
     assert "line 2" in str(err.value)
 
 
+def test_only_newline_ends_a_line():
+    # \r is stripped as whitespace; \x0c and \u2028 split labels but end no line
+    g = load_edge_list("a b\r\nb c\n")
+    assert (g.labels, g.m) == (("a", "b", "c"), 2)
+    for sep in ("\x0c", "\u2028"):
+        with pytest.raises(EdgeListParseError, match="line 2"):
+            load_edge_list(f"a b\nb c{sep}c d\n")
+
+
 def test_empty_edge_set_rejected():
     with pytest.raises(EdgeListParseError):
         load_edge_list("# nothing\n")
