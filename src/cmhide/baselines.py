@@ -19,7 +19,7 @@ import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, _prepare_target, community_similarity
+from .gradient import HidingConfig, HidingOutcome, _outcome, _prepare_target, community_similarity
 from .graph import EdgeDelta, Graph, apply_delta
 from .scoring import StructuralScores, betweenness, top_ranked
 
@@ -135,6 +135,8 @@ def run_baseline(
 ) -> HidingOutcome:
     """Apply the named baseline's rewiring to node u and score it.
 
+    The rewired graph is detected once, unless the plan toggles nothing,
+    and `HidingConfig.hides` judges the outcome as it does every attack's.
     A plan gets at most the n - 1 flips of a row as its budget, so `random`
     draws no more than that. `seed` drives `random`. `scores`, the
     structural scores of g, spare `centrality` its own betweenness pass.
@@ -148,26 +150,12 @@ def run_baseline(
     t_start = time.perf_counter()
     partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
     deltas = plan(g, u, partition.community_members(u), min(config.beta, g.n - 1), seed, scores)
-    g2 = g
-    used = 0
+    rewired = g
     for d in deltas:
-        used += d.size
-        g2 = apply_delta(g2, d)
-    if used:
-        part2 = detect(g2, detector)
+        rewired = apply_delta(rewired, d)
+    scored = (1.0, g, partition)  # the input row, as `hide` scores it
+    if rewired is not g:  # apply_delta gives g itself for an empty delta
+        part2 = detect(rewired, detector)
         detections += 1
-        sim = community_similarity(reference, part2, u)
-    else:
-        part2 = partition
-        sim = 1.0
-    return HidingOutcome(
-        target=u,
-        success=sim <= config.tau and used <= config.beta,
-        similarity=sim,
-        deltas=deltas,
-        used_budget=used,
-        graph=g2,
-        partition=part2,
-        detections=detections,
-        wall_seconds=time.perf_counter() - t_start,
-    )
+        scored = (community_similarity(reference, part2, u), rewired, part2)
+    return _outcome(u, config, deltas, scored, t_start, detections=detections)

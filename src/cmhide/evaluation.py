@@ -72,10 +72,7 @@ def nmi(labels_a: Sequence[int], labels_b: Sequence[int]) -> float:
     nz = joint > 0
     outer = np.outer(pa, pb)
     info = float((joint[nz] * np.log(joint[nz] / outer[nz])).sum())
-    denom = 0.5 * (ha + hb)
-    if denom == 0.0:
-        return 0.0
-    return float(min(1.0, max(0.0, info / denom)))
+    return float(min(1.0, max(0.0, info / (0.5 * (ha + hb)))))
 
 
 def f1_score(success_rate: float, nmi_value: float) -> float:
@@ -314,7 +311,7 @@ def _run_cell(
                     beta_factor=beta_factor,
                     beta=beta,
                     target=u,
-                    success=sim_eval <= tau and outcome.used_budget <= beta,
+                    success=cell_config.hides(sim_eval, outcome.used_budget),
                     similarity=sim_eval,
                     attack_similarity=outcome.similarity,
                     used_budget=outcome.used_budget,

@@ -67,10 +67,18 @@ class HidingConfig:
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
 
+    def hides(self, similarity: float, used: int) -> bool:
+        """The one success rule of every attack: similarity at most tau, at most beta flips."""
+        return similarity <= self.tau and used <= self.beta
+
 
 @dataclass(frozen=True)
 class HidingOutcome:
-    """Result of one hiding attempt on one target node; restarts counts truncated steps."""
+    """Result of one attack on one target node; restarts counts truncated steps.
+
+    success is `HidingConfig.hides(similarity, used_budget)`, with the flips
+    of every delta summed in used_budget.
+    """
 
     target: int
     success: bool
@@ -173,6 +181,20 @@ def _prepare_target(
     return partition, reference, detections
 
 
+def _outcome(
+    u: int, config: HidingConfig, deltas: tuple[EdgeDelta, ...],
+    scored: tuple[float, Graph, Partition], t_start: float, **counts: int,
+) -> HidingOutcome:
+    """Epilogue shared by every attack; scored is the rewired (similarity, graph, partition)."""
+    similarity, graph, partition = scored
+    used = sum(d.size for d in deltas)
+    return HidingOutcome(
+        target=u, success=config.hides(similarity, used), similarity=similarity,
+        deltas=deltas, used_budget=used, graph=graph, partition=partition,
+        wall_seconds=time.perf_counter() - t_start, **counts,
+    )
+
+
 def hide(
     g: Graph,
     u: int,
@@ -185,15 +207,15 @@ def hide(
     """Search for a hiding rewiring of node u's row within the budget.
 
     Every row the search proposes within budget is scored once: detected,
-    and its similarity, graph and partition kept. The search stops at the
-    first row whose similarity is at most tau and returns the best row
-    scored. Adam steps theta, with p_hat = tanh(theta); the loss gradient is
-    taken with respect to p_hat, without the chain factor 1 - p_hat**2. A
-    step that proposes more than beta flips keeps the beta of them ranked
-    highest by |p_hat| * |grad|, ties to the smaller id, and Adam goes on
-    from the theta it moved. With config.exhaust_budget the search ends with
-    project_to_budget, which spends whatever budget is left. `seed` draws
-    the one starting point.
+    and its similarity, graph and partition kept, so the cache's size
+    counts the detector calls. The search stops at the first row that
+    `config.hides` and returns the best row scored. Adam steps theta, with
+    p_hat = tanh(theta); the loss gradient is taken with respect to p_hat,
+    without the chain factor 1 - p_hat**2. A step that proposes more than
+    beta flips keeps the beta of them ranked highest by |p_hat| * |grad|,
+    ties to the smaller id, and Adam goes on from the theta it moved. With
+    config.exhaust_budget the search ends with project_to_budget, which
+    spends whatever budget is left. `seed` draws the one starting point.
     """
     t_start = time.perf_counter()
     n = g.n
@@ -208,12 +230,10 @@ def hide(
 
     def score(delta: EdgeDelta) -> float:
         """Similarity of a rewired row, detected the first time it is scored."""
-        nonlocal detections
         hit = scored.get(delta)
         if hit is None:
             g2 = apply_delta(g, delta)
             part2 = detect(g2, detector)
-            detections += 1
             hit = scored[delta] = (community_similarity(reference, part2, u), g2, part2)
         return hit[0]
 
@@ -223,7 +243,7 @@ def hide(
     g_acc = np.zeros(n)  # GAMMA-discounted gradient sum
     restarts = iterations = 0
     # the first row that hides u is scored lower than every row before it
-    while scored[best][0] > config.tau and iterations < config.max_iter:
+    while not config.hides(scored[best][0], best.size) and iterations < config.max_iter:
         iterations += 1
         grad = loss_gradient(p_hat, target_vec, row, config.lam, owner=u)
         g_acc = GAMMA * g_acc + grad
@@ -244,19 +264,10 @@ def hide(
         g_bar = (1.0 - GAMMA) * g_acc
         best = EdgeDelta(u, project_to_budget(bits, u, p_hat, g_bar, best.toggled, config))
         score(best)
-    sim, graph, part = scored[best]
-    return HidingOutcome(
-        target=u,
-        success=sim <= config.tau,
-        similarity=sim,
-        deltas=(best,),
-        used_budget=best.size,
-        graph=graph,
-        partition=part,
-        iterations=iterations,
-        detections=detections,
-        restarts=restarts,
-        wall_seconds=time.perf_counter() - t_start,
+    # every entry of the cache but the input row cost one detector call
+    return _outcome(
+        u, config, (best,), scored[best], t_start, iterations=iterations,
+        detections=detections + len(scored) - 1, restarts=restarts,
     )
 
 

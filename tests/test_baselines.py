@@ -245,6 +245,7 @@ def test_baselines_respect_budget_and_replay(kar, greedy, name, beta):
     if outcome.used_budget:
         assert detect(g2, greedy) == outcome.partition
     assert outcome.success == (outcome.similarity <= cfg.tau)
+    assert outcome.success == cfg.hides(outcome.similarity, outcome.used_budget)
     assert outcome.wall_seconds > 0
 
 

@@ -600,6 +600,51 @@ def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):
     assert report2["meta"]["seed"] == 5  # the spec's seed is the master seed
 
 
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (("--tau", "0.5", "--seed", "7"), "gradient: target 9 hidden (sim=0.0000, used 2/3)\n"),
+        (
+            ("--tau", "0.01", "--seed", "3", "--max-iter", "3"),
+            "gradient: target 9 still visible (sim=0.0769, used 1/3)\n",
+        ),
+    ],
+)
+def test_hide_verbose_adds_only_a_digest_on_stderr(capsys, flags, digest):
+    argv = (*HIDE_9, "--preset", "kar", "--beta", "3", *flags)
+    rc, quiet, quiet_err = run_cli(capsys, *argv)
+    rc_verbose, out, err = run_cli(capsys, *argv, "--verbose")
+    assert rc == rc_verbose == 0
+    assert _without_wall_ms(out) == _without_wall_ms(quiet)  # stdout stays deterministic
+    assert quiet_err == "" and err == digest
+
+
+def _records_without_wall_seconds(out_dir: Path) -> list[dict]:
+    with open(out_dir / "records.csv", newline="", encoding="utf-8") as fh:
+        return [{k: v for k, v in row.items() if k != "wall_seconds"} for row in csv.DictReader(fh)]
+
+
+def test_benchmark_verbose_adds_only_a_digest_on_stderr(capsys, tmp_path):
+    spec = {"graph": "cliques", "preset": "kar", "methods": ["dice", "gradient"],
+            "taus": [0.3, 0.5], "beta_factors": [1.0], "runs": 1}
+    argv = ("benchmark", "--spec", _json_file(tmp_path, spec), "--out", str(tmp_path / "b"),
+            "--jobs", "1")
+    rc, quiet, quiet_err = run_cli(capsys, *argv)
+    records = _records_without_wall_seconds(tmp_path / "b")
+    rc_verbose, out, err = run_cli(capsys, *argv, "--verbose")
+    assert rc == rc_verbose == 0
+    assert out == quiet and quiet_err == ""
+    assert _records_without_wall_seconds(tmp_path / "b") == records
+    with open(tmp_path / "b" / "summary.csv", newline="", encoding="utf-8") as fh:
+        summary = list(csv.DictReader(fh))
+    lines = err.splitlines()
+    assert len(lines) == len(summary) == 4  # one digest line per cell
+    for line, row in zip(lines, summary):
+        assert line.split()[:3] == [row["method"], f"tau={row['tau']}", f"beta={row['beta']}"]
+        assert f"SR={float(row['sr_mean']):.3f}+-" in line
+        assert line.endswith(f"F1={float(row['f1_mean']):.3f}")
+
+
 def test_readme_quick_start_runs_as_written(capsys):
     quick = README.read_text("utf-8").split("## Quick start\n", 1)[1].split("\n## ", 1)[0]
     shell, python = re.findall(r"```(?:sh|python)\n(.*?)```", quick, re.S)

@@ -58,10 +58,12 @@ def test_greedy_splits_cliques_and_is_exhaustively_optimal(cliques, greedy):
 
 def test_single_edge_graph_is_degenerate_but_valid():
     g = graph_from_edges([("a", "b")])
+    edgeless = Graph([], node_labels=["a", "b", "c"])
     for name in ("greedy", "louvain", "label_propagation"):
         part = detect(g, DetectorSpec(name))
         assert part.k in (1, 2)
         assert sorted(v for c in part.communities for v in c) == [0, 1]
+        assert detect(edgeless, DetectorSpec(name)) == Partition.from_labels([0, 1, 2])
 
 
 def test_detectors_are_deterministic(kar):

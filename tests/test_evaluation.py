@@ -446,6 +446,13 @@ def test_attack_rejects_a_bad_seed(kar, greedy, seed):
         cmhide.run_baseline("random", kar, 9, greedy, config, seed=seed)
 
 
+def test_attack_rejects_an_unknown_method_listing_all(kar, greedy):
+    with pytest.raises(ConfigError, match="unknown method 'nope'; available: ") as err:
+        evaluation.attack("nope", kar, 0, greedy, cmhide.HidingConfig())
+    assert str(err.value).split("available: ")[1].split(", ") == list(ALL_METHODS)
+    assert len(ALL_METHODS) == 7
+
+
 def test_method_name_alone_picks_projection(kar, greedy):
     config = get_preset("kar").config(tau=0.5, beta=3)
     u = kar.id_of("9")

@@ -287,6 +287,13 @@ def test_hiding_config_rejects_bad_knobs():
     assert HidingConfig(weights=(1, 1, 1, 1)).weights == (1.0, 1.0, 1.0, 1.0)
 
 
+def test_hiding_config_hides_at_tau_within_beta():
+    config = HidingConfig(tau=0.5, beta=3)
+    assert config.hides(0.5, 3) and config.hides(0.0, 0)
+    assert not config.hides(0.5, 4)  # one flip over budget
+    assert not config.hides(np.nextafter(0.5, 1.0), 0)
+
+
 def test_outcome_delta_property_requires_single_row(kar, greedy, kar_partition):
     outcome = HidingOutcome(
         target=0,
@@ -495,6 +502,7 @@ def test_hide_detects_each_row_once_and_counts_every_call(kar, monkeypatch):
                         seed=seed,
                     )
                     assert outcome.detections == len(calls)
+                    assert outcome.success == config.hides(outcome.similarity, outcome.used_budget)
                     distinct = {frozenset(g.edges()) for g in calls}
                     assert len(distinct) == len(calls)
                     truncated |= outcome.restarts > 0 and outcome.detections > 1

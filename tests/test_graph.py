@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cmhide import EdgeDelta, EdgeListParseError, apply_delta, load_edge_list
+from cmhide import EdgeDelta, EdgeListParseError, apply_delta, load_edge_list, load_fixture
 from cmhide.graph import (
     Graph,
     GraphOverlay,
@@ -32,6 +32,8 @@ def test_self_loop_dropped_with_counter():
     assert (g.n, g.m) == (3, 1)
     assert stats.self_loops_dropped == 1
     assert g.degree(g.id_of("a")) == 0
+    with pytest.raises(ValueError, match="self loop on node 'a'"):  # only the loader drops them
+        Graph([("a", "a")])
 
 
 def test_comment_lines_ignored():
@@ -226,3 +228,10 @@ def test_apply_delta_rejects_toggled_ids_outside_the_graph(kar, outside):
         apply_delta(kar, EdgeDelta(0, {outside, 5}))
     with pytest.raises(ValueError, match="outside graph"):  # on an overlay too
         apply_delta(apply_delta(kar, EdgeDelta(1, {2})), EdgeDelta(0, {outside}))
+    with pytest.raises(ValueError, match=f"delta owner {outside} outside graph with n=34"):
+        apply_delta(kar, EdgeDelta(outside, {5}))
+
+
+def test_unknown_fixture_lists_available():
+    with pytest.raises(KeyError, match="unknown fixture 'nope'; available: kar, barbell, cliques"):
+        load_fixture("nope")
