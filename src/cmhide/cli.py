@@ -2,10 +2,10 @@
 
 Machine output is JSON (or CSV for tabular data) on stdout or --out;
 --verbose adds a human-readable digest on stderr. Exit codes: 0 success,
-1 hiding failed under --strict, 2 usage or config errors. `hide` takes tau
-and beta from --tau and --beta alone, and its optimiser settings from a
-built-in --preset, then a --config file, then its flags, each beating the
-one before.
+1 hiding failed under --strict, 2 usage or config errors. `hide` takes its
+optimiser settings from a built-in --preset, then a --config file that
+beats it, as a benchmark spec takes them from its `preset` and `config`;
+tau and beta come from --tau and --beta alone.
 """
 
 from __future__ import annotations
@@ -118,19 +118,13 @@ def _parse_weights(text: str) -> tuple[float, ...]:
 
 
 def _config_from_args(args) -> HidingConfig:
-    """Flags beat the --config file, which beats the preset, which beats defaults."""
+    """The preset, then the --config file, which beats it, then --tau and --beta."""
     config = get_preset(args.preset).config() if args.preset is not None else HidingConfig()
     if args.config is not None:
         base = config
         config = load_json(args.config, "config", lambda obj: replace(base, **obj), _CONFIG_KEYS)
-    overrides = {}
-    for key in ("tau", "beta", "eta", "lam", "max_iter"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.weights is not None:
-        overrides["weights"] = _parse_weights(args.weights)
-    return replace(config, **overrides)
+    criterion = {"tau": args.tau, "beta": args.beta}
+    return replace(config, **{k: v for k, v in criterion.items() if v is not None})
 
 
 def _outcome_json(g: Graph, method: str, outcome: HidingOutcome, config: HidingConfig) -> str:
@@ -205,9 +199,10 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
     obj["config"] = from_json(
         obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _CONFIG_KEYS
     )
-    for key in ("detector", "eval_detector"):
-        if obj.get(key) is not None:
-            obj[key] = _detector_from_json(obj[key], key)
+    if "detector" in obj:
+        obj["detector"] = _detector_from_json(obj["detector"], "detector")
+    if obj.get("eval_detector") is not None:  # null: score with the attack's detector
+        obj["eval_detector"] = _detector_from_json(obj["eval_detector"], "eval_detector")
     if preset:
         obj.setdefault("mu_plus_one", preset.mu_plus_one)
     return g, ExperimentSpec(**obj)
@@ -272,10 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide.add_argument("--beta", type=int)
     p_hide.add_argument("--preset", help=f"hyperparameter set: one of {', '.join(PRESET_NAMES)}")
     p_hide.add_argument("--config", help="JSON file overriding optimiser settings")
-    p_hide.add_argument("--eta", type=float)
-    p_hide.add_argument("--lam", type=float)
-    p_hide.add_argument("--max-iter", dest="max_iter", type=int)
-    p_hide.add_argument("--weights", help="four comma-separated structural weights")
     p_hide.add_argument("--seed", type=int, default=0)
     p_hide.add_argument("--detector-seed", type=int, default=0)
     p_hide.add_argument("--strict", action="store_true", help="exit 1 when hiding fails")

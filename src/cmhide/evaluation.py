@@ -344,8 +344,6 @@ def summarise(records: Sequence[TargetRecord], g: Graph, runs: int) -> list[Summ
         srs, nmis, f1s, prs = [], [], [], []
         for run in range(runs):
             run_recs = [r for r in recs if r.run == run]
-            if not run_recs:
-                continue
             sr = sum(r.success for r in run_recs) / len(run_recs)
             nm = sum(r.nmi for r in run_recs) / len(run_recs)
             srs.append(sr)

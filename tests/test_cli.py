@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -121,10 +122,11 @@ def test_hide_roam_reports_edges_off_the_target_row(capsys):
     assert obj["success"] is False
 
 
-def test_hide_strict_flag_turns_failure_into_exit_1(capsys):
+def test_hide_strict_flag_turns_failure_into_exit_1(capsys, tmp_path):
     argv = (
         "hide", "--graph", "kar", "--target", "9", "--preset", "kar",
-        "--tau", "0.01", "--beta", "3", "--seed", "3", "--max-iter", "3",
+        "--tau", "0.01", "--beta", "3", "--seed", "3",
+        "--config", _json_file(tmp_path, {"max_iter": 3}),
     )
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
@@ -149,22 +151,20 @@ def _without_wall_ms(out: str) -> dict:
     return {k: v for k, v in json.loads(out).items() if k != "wall_ms"}
 
 
-def test_config_file_applies_and_flags_beat_it(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"max_iter": 4}), "utf-8")
-    # target 0 is not hidden at tau 0.01 within 6 iterations, so --max-iter sets the count
-    plain = (
-        "hide", "--graph", "kar", "--target", "0", "--preset", "kar", "--seed", "3",
-        "--tau", "0.01", "--beta", "2",
+def test_config_file_applies_and_beats_the_preset(capsys, tmp_path):
+    # target 0 is not hidden at tau 0.01 within 4 iterations, so max_iter sets the count
+    _, out, _ = run_cli(
+        capsys, "hide", "--graph", "kar", "--target", "0", "--preset", "kar", "--seed", "3",
+        "--tau", "0.01", "--beta", "2", "--config", _json_file(tmp_path, {"max_iter": 4}),
     )
-    base = plain + ("--config", str(cfg))
-    _, out, _ = run_cli(capsys, *base)
-    obj = _without_wall_ms(out)
+    obj = json.loads(out)
     assert (obj["tau"], obj["beta"], obj["iterations"]) == (0.01, 2, 4)
-    _, flags, _ = run_cli(capsys, *plain, "--max-iter", "4")
-    assert obj == _without_wall_ms(flags)  # the file's settings run
-    _, out, _ = run_cli(capsys, *base, "--max-iter", "6")
-    assert json.loads(out)["iterations"] == 6  # the flag beats the file
+    g = load_fixture("kar")
+    config = replace(get_preset("kar").config(tau=0.01, beta=2), max_iter=4)
+    outcome = attack("gradient", g, g.id_of("0"), DetectorSpec("greedy"), config, seed=3)
+    # the file's settings run: the preset's, with the file's max_iter in place of its 120
+    for key in ("success", "similarity", "used_budget", "detections", "restarts"):
+        assert obj[key] == getattr(outcome, key)
 
 
 def test_config_file_with_the_tuned_weights_runs_as_the_preset(capsys, tmp_path):
@@ -207,6 +207,7 @@ def _bytes_file(tmp_path, data: bytes) -> str:
 
 
 LATIN1 = "caf\xe9 bar\n".encode("latin-1")  # not UTF-8
+NOT_JSON = b"{graph: kar}\n"  # UTF-8, but its key is not quoted
 
 
 HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
@@ -253,21 +254,30 @@ BAD_INPUTS = {
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "detector": "louvain"}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
+    # only eval_detector may be null
+    "spec detector null": lambda tmp: (
+        "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "detector": None}),
+        "--out", str(tmp / "out"), "--jobs", "1",
+    ),
     "spec detector seed": lambda tmp: (
         "benchmark", "--spec",
         _json_file(tmp, {"graph": "kar", "eval_detector": {"algo": "louvain", "seed": "x"}}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
-    "eta nan": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3", "--eta", "nan"),
-    "eta inf": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3", "--eta", "inf"),
-    "lam nan": lambda tmp: HIDE_9 + ("--preset", "kar", "--beta", "3", "--lam", "nan"),
-    "weights nan": lambda tmp: HIDE_9 + (
-        "--preset", "kar", "--beta", "3", "--weights", "nan,1,1,1",
-    ),
-    "weights inf": lambda tmp: HIDE_9 + ("--weights", "inf,1,1,1"),
-    "weights sum overflows": lambda tmp: HIDE_9 + ("--weights", "1e308,1e308,0,0"),
-    "weights sum 0": lambda tmp: HIDE_9 + ("--weights", "0,0,0,0"),
-    "weights negative": lambda tmp: HIDE_9 + ("--weights", "1,-1,1,1"),
+    # eta, lam and weights come from a --config file alone; json writes NaN and Infinity
+    **{
+        name: lambda tmp, obj=obj: HIDE_9 + (
+            "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, obj),
+        )
+        for name, obj in {
+            "eta nan": {"eta": float("nan")},
+            "eta inf": {"eta": float("inf")},
+            "lam nan": {"lam": float("nan")},
+            "weights inf": {"weights": [float("inf"), 1, 1, 1]},
+            "weights sum overflows": {"weights": [1e308, 1e308, 0, 0]},
+            "weights negative": {"weights": [1, -1, 1, 1]},
+        }.items()
+    },
     "config weights nan": lambda tmp: HIDE_9 + (
         "--config", _json_file(tmp, {"weights": [float("nan"), 1, 1, 1]}),
     ),
@@ -286,14 +296,31 @@ BAD_INPUTS = {
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"squared_loss": True}}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
-    "scores weights nan": lambda tmp: (
-        "analyze", "scores", "--graph", "kar", "--weights", "nan,1,1,1",
-        "--partition", _json_file(tmp, {"communities": [[str(v) for v in range(34)]]}),
-    ),
+    # --weights is a flag of analyze scores alone
+    **{
+        f"scores weights {name}": lambda tmp, text=text: (
+            "analyze", "scores", "--graph", "kar", "--weights", text,
+            "--partition", _json_file(tmp, {"communities": [[str(v) for v in range(34)]]}),
+        )
+        for name, text in {
+            "nan": "nan,1,1,1",
+            "inf": "inf,1,1,1",
+            "sum overflows": "1e308,1e308,0,0",
+            "sum 0": "0,0,0,0",
+            "negative": "1,-1,1,1",
+        }.items()
+    },
     "graph not utf-8": lambda tmp: ("detect", "--graph", _bytes_file(tmp, LATIN1)),
     "graph not an edge list": lambda tmp: ("detect", "--graph", _bytes_file(tmp, b"a b c\n")),
     "partition not utf-8": lambda tmp: (
         "analyze", "scores", "--graph", "kar", "--partition", _bytes_file(tmp, LATIN1),
+    ),
+    "config not JSON": lambda tmp: HIDE_9 + ("--config", _bytes_file(tmp, NOT_JSON)),
+    "spec not JSON": lambda tmp: (
+        "benchmark", "--spec", _bytes_file(tmp, NOT_JSON), "--out", str(tmp / "out"),
+    ),
+    "partition not JSON": lambda tmp: (
+        "analyze", "scores", "--graph", "kar", "--partition", _bytes_file(tmp, NOT_JSON),
     ),
     "partition directory": lambda tmp: (
         "analyze", "scores", "--graph", "kar", "--partition", str(tmp),
@@ -421,8 +448,9 @@ UNKNOWN_KEYS = {
 
 
 UNREADABLE_FILES = {
-    "config directory", "graph directory", "graph not an edge list", "graph not utf-8",
-    "partition directory", "partition not utf-8", "spec directory",
+    "config directory", "config not JSON", "graph directory", "graph not an edge list",
+    "graph not utf-8", "partition directory", "partition not JSON", "partition not utf-8",
+    "spec directory", "spec not JSON",
 }
 
 
@@ -436,6 +464,8 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
     assert all(note.startswith("cmhide: note:") for note in notes)
     if case == "singleton target":  # the node is named by its label, not its id
         assert "node 'x' forms a singleton community" in line
+    if case == "spec detector null":
+        assert "'detector'" in line
     if "--weights" in argv:  # the message quotes what was typed
         assert repr(argv[argv.index("--weights") + 1]) in err
     if case in UNREADABLE_FILES:  # and names the file
@@ -504,10 +534,15 @@ def test_bad_partition_file_exits_2_naming_it(capsys, tmp_path, case):
         ("detect", "--graph", "kar", "--resolution", "1"),
         HIDE_9 + ("--algo", "louvain", "--resolution", "1"),
         ("benchmark", "--spec", "spec.json", "--out", "out", "--seed", "1"),
+        # eta, lam, max_iter and weights come from --config alone
+        HIDE_9 + ("--eta", "0.1"),
+        HIDE_9 + ("--lam", "1"),
+        HIDE_9 + ("--max-iter", "3"),
+        HIDE_9 + ("--weights", "33,20,21,24"),
     ],
     ids=[
         "detect labelprop", "hide labelprop", "detect resolution", "hide resolution",
-        "benchmark seed",
+        "benchmark seed", "hide eta", "hide lam", "hide max-iter", "hide weights",
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -605,12 +640,13 @@ def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):
     [
         (("--tau", "0.5", "--seed", "7"), "gradient: target 9 hidden (sim=0.0000, used 2/3)\n"),
         (
-            ("--tau", "0.01", "--seed", "3", "--max-iter", "3"),
+            ("--tau", "0.01", "--seed", "3", "--config", {"max_iter": 3}),
             "gradient: target 9 still visible (sim=0.0769, used 1/3)\n",
         ),
     ],
 )
-def test_hide_verbose_adds_only_a_digest_on_stderr(capsys, flags, digest):
+def test_hide_verbose_adds_only_a_digest_on_stderr(capsys, tmp_path, flags, digest):
+    flags = [_json_file(tmp_path, f) if isinstance(f, dict) else f for f in flags]
     argv = (*HIDE_9, "--preset", "kar", "--beta", "3", *flags)
     rc, quiet, quiet_err = run_cli(capsys, *argv)
     rc_verbose, out, err = run_cli(capsys, *argv, "--verbose")
