@@ -273,7 +273,9 @@ BAD_INPUTS = {
             "eta nan": {"eta": float("nan")},
             "eta inf": {"eta": float("inf")},
             "lam nan": {"lam": float("nan")},
+            "weights nan": {"weights": [float("nan"), 1, 1, 1]},
             "weights inf": {"weights": [float("inf"), 1, 1, 1]},
+            "weights sum 0": {"weights": [0, 0, 0, 0]},
             "weights sum overflows": {"weights": [1e308, 1e308, 0, 0]},
             "weights negative": {"weights": [1, -1, 1, 1]},
         }.items()
