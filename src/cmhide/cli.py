@@ -36,7 +36,7 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .gradient import HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
 from .presets import PRESET_NAMES, get_preset
-from .schema import from_json, load_json, read_text
+from .schema import fits, from_json, load_json, read_text
 from .scoring import DEFAULT_WEIGHTS, check_weights, pagerank, structural_scores
 
 # one schema for a --config file and a spec's `config`: tau and beta come from
@@ -68,7 +68,7 @@ def _load_graph(path: str) -> Graph:
 
 def _detector_from_json(value, key: str) -> DetectorSpec:
     def build(obj: dict) -> DetectorSpec:
-        return DetectorSpec(str(obj.pop("algo", "greedy")), **obj)
+        return DetectorSpec(obj.pop("algo", "greedy"), **obj)
 
     return from_json(value, "detector", repr(key), build, ("algo", "seed"))
 
@@ -192,9 +192,11 @@ def _cmd_hide(args) -> int:
 
 def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
     """A spec's graph and ExperimentSpec; its preset fills what it leaves out."""
-    g = _load_graph(str(obj.pop("graph")))
-    preset = obj.pop("preset", None)
-    preset = get_preset(str(preset)) if preset is not None else None
+    for key in ("graph", "preset"):
+        if key in obj and not fits(str, obj[key]):
+            raise ConfigError(f"{key!r} must be a string, got {obj[key]!r}")
+    g = _load_graph(obj.pop("graph"))
+    preset = get_preset(obj.pop("preset")) if "preset" in obj else None
     base = preset.config() if preset else HidingConfig()
     obj["config"] = from_json(
         obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _CONFIG_KEYS

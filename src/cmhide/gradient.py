@@ -3,9 +3,10 @@
 The perturbation of the target's adjacency row is relaxed to a continuous
 vector p_hat = tanh(theta). Adam steps the unconstrained theta against a
 smooth loss that pulls the row toward the promising-actions target while
-penalising large changes; p_hat is discretised back to edge flips after
-every step. With exhaust_budget set, a projection step then keeps applying
-the most promising flips until the whole budget is spent.
+penalising large changes; after every step `flipped` reads the edge flips
+off p_hat. `hide` zeroes the gradient at the target's own entry, so that
+entry never flips. With exhaust_budget set, a projection step then keeps
+applying the most promising flips until the whole budget is spent.
 
 The settings a caller tunes live in HidingConfig; the rest are fixed below.
 """
@@ -20,14 +21,14 @@ import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError, SingletonCommunityError
-from .graph import EdgeDelta, Graph, apply_delta, clamp_add, delta_between
+from .graph import EdgeDelta, Graph, apply_delta, clamp_add  # clamp_add: perfbench reads it here
 from .schema import check_types, fits
 from .scoring import (
     DEFAULT_WEIGHTS, StructuralScores, check_weights, promising_actions, structural_scores,
     top_ranked,
 )
 
-FLIP = 0.5  # a relaxed entry at or beyond +-FLIP flips its edge
+FLIP = 0.5  # p_hat at or past +FLIP adds a missing edge, at or past -FLIP drops one
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba (2015)
 GAMMA = 0.9  # decay of the gradient average the projection slides along
 NORM_EPS = 1e-12  # floor of a norm divided by in the loss gradient
@@ -117,9 +118,9 @@ def community_similarity(reference: frozenset[int], partition: Partition, u: int
     return 2.0 * sum(labels[v] == c for v in reference) / (len(reference) + size)
 
 
-def threshold(p_hat: np.ndarray) -> np.ndarray:
-    """Discretise a relaxed perturbation to {-1, 0, +1} (thresholds inclusive)."""
-    return np.where(p_hat >= FLIP, 1, np.where(p_hat <= -FLIP, -1, 0)).astype(np.int8)
+def flipped(row: np.ndarray, p_hat: np.ndarray) -> list[int]:
+    """Ids p_hat flips on an adjacency row, ascending: p_hat >= FLIP on a 0, <= -FLIP on a 1."""
+    return np.flatnonzero((1.0 - 2.0 * row) * p_hat >= FLIP).tolist()
 
 
 def _norm(x: np.ndarray) -> float:
@@ -143,17 +144,10 @@ def loss_value(p_hat: np.ndarray, target_vec: np.ndarray, row: np.ndarray, lam: 
 
 
 def loss_gradient(
-    p_hat: np.ndarray,
-    target_vec: np.ndarray,
-    row: np.ndarray,
-    lam: float,
-    owner: int | None = None,
+    p_hat: np.ndarray, target_vec: np.ndarray, row: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Analytic gradient of loss_value with respect to the relaxed perturbation."""
-    g = -_unit(target_vec - row - p_hat) + lam * p_hat.size ** -0.5 * _unit(p_hat)
-    if owner is not None:
-        g[owner] = 0.0
-    return g
+    """Analytic gradient of loss_value with respect to p_hat; `hide` zeroes the owner's entry."""
+    return -_unit(target_vec - row - p_hat) + lam * p_hat.size ** -0.5 * _unit(p_hat)
 
 
 def _prepare_target(
@@ -211,11 +205,13 @@ def hide(
     counts the detector calls. The search stops at the first row that
     `config.hides` and returns the best row scored. Adam steps theta, with
     p_hat = tanh(theta); the loss gradient is taken with respect to p_hat,
-    without the chain factor 1 - p_hat**2. A step that proposes more than
-    beta flips keeps the beta of them ranked highest by |p_hat| * |grad|,
-    ties to the smaller id, and Adam goes on from the theta it moved. With
-    config.exhaust_budget the search ends with project_to_budget, which
-    spends whatever budget is left. `seed` draws the one starting point.
+    without the chain factor 1 - p_hat**2, and zeroed at u, so theta[u]
+    stays 0 and u never flips. A step proposes the flips `flipped` reads
+    off p_hat; one that proposes more than beta flips keeps the beta of
+    them ranked highest by |p_hat| * |grad|, ties to the smaller id, and
+    Adam goes on from the theta it moved. With config.exhaust_budget the
+    search ends with project_to_budget, which spends whatever budget is
+    left. `seed` draws the one starting point.
     """
     t_start = time.perf_counter()
     n = g.n
@@ -223,8 +219,7 @@ def hide(
     if scores is None:
         scores = structural_scores(g, partition, config.weights)
     target_vec = promising_actions(u, partition, scores)
-    bits = g.row(u)
-    row = bits.astype(float)
+    row = g.row(u).astype(float)
     best = EdgeDelta(u)
     scored: dict[EdgeDelta, tuple[float, Graph, Partition]] = {best: (1.0, g, partition)}
 
@@ -245,7 +240,8 @@ def hide(
     # the first row that hides u is scored lower than every row before it
     while not config.hides(scored[best][0], best.size) and iterations < config.max_iter:
         iterations += 1
-        grad = loss_gradient(p_hat, target_vec, row, config.lam, owner=u)
+        grad = loss_gradient(p_hat, target_vec, row, config.lam)
+        grad[u] = 0.0
         g_acc = GAMMA * g_acc + grad
         m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
         v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
@@ -253,16 +249,17 @@ def hide(
         v_hat = v / (1.0 - ADAM_BETA2**iterations)
         theta = theta - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p_hat = np.tanh(theta)
-        delta = delta_between(u, bits, clamp_add(bits, u, threshold(p_hat)))
-        if delta.size > config.beta:
+        flips = flipped(row, p_hat)
+        if len(flips) > config.beta:
             restarts += 1
-            delta = EdgeDelta(u, top_ranked(np.abs(p_hat * grad), list(delta.toggled), config.beta))
+            flips = top_ranked(np.abs(p_hat * grad), flips, config.beta)
+        delta = EdgeDelta(u, flips)
         if score(delta) < scored[best][0]:
             best = delta
 
     if config.exhaust_budget:
         g_bar = (1.0 - GAMMA) * g_acc
-        best = EdgeDelta(u, project_to_budget(bits, u, p_hat, g_bar, best.toggled, config))
+        best = EdgeDelta(u, project_to_budget(row, u, p_hat, g_bar, best.toggled, config))
         score(best)
     # every entry of the cache but the input row cost one detector call
     return _outcome(
@@ -285,7 +282,7 @@ def hide_projected(
 
 
 def project_to_budget(
-    bits: np.ndarray,
+    row: np.ndarray,
     u: int,
     p_hat: np.ndarray,
     g_bar: np.ndarray,
@@ -301,18 +298,18 @@ def project_to_budget(
     it, largest first, then of id, until the budget is spent. Coordinates
     the gradient cannot reach fill what is left, ranked by |p_hat| * |g_bar|
     after the last crossing round, or by |p_hat| when g_bar is all zero.
-    bits is node u's adjacency row.
+    row is node u's adjacency row.
     """
     budget_left = config.beta - len(applied)
     if budget_left <= 0:
         return applied
-    blocked = np.zeros(bits.size, dtype=bool)  # the owner and every taken flip
+    blocked = np.zeros(row.size, dtype=bool)  # the owner and every taken flip
     blocked[u] = True
     blocked[list(applied)] = True
     step = config.eta * g_bar
-    rounds = np.full(bits.size, np.inf)
+    rounds = np.full(row.size, np.inf)
     if np.any(step):
-        sign = np.where(bits == 0, 1.0, -1.0)  # the way p_hat must cross FLIP to flip a bit
+        sign = np.where(row == 0, 1.0, -1.0)  # the way p_hat must cross FLIP to flip a bit
         rate = -sign * step  # progress toward that crossing per round
         moving = rate > 0
         rounds[moving] = np.maximum(

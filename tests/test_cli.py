@@ -2,11 +2,14 @@ import csv
 import json
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import cmhide
 from cmhide import ALL_METHODS, DetectorSpec, get_preset, load_fixture, pagerank
 from cmhide.cli import main
 from cmhide.evaluation import attack
@@ -28,6 +31,15 @@ def test_detect_emits_partition_json(capsys):
     assert len(obj["communities"]) == 3
     labels = [lab for comm in obj["communities"] for lab in comm]
     assert sorted(labels) == sorted(load_fixture("kar").labels)
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(cmhide.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "cmhide.cli", "detect", "--graph", "kar"],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": src},
+    )
+    assert len(json.loads(out.stdout)["communities"]) == 3
 
 
 def test_detect_output_file_is_stable(capsys, tmp_path):
@@ -208,6 +220,12 @@ def _bytes_file(tmp_path, data: bytes) -> str:
 
 LATIN1 = "caf\xe9 bar\n".encode("latin-1")  # not UTF-8
 NOT_JSON = b"{graph: kar}\n"  # UTF-8, but its key is not quoted
+
+
+def _beside_file_5(tmp_path, argv):
+    """argv, run from tmp_path, which now holds an edge list named 5."""
+    (tmp_path / "5").write_text("a b\nb c\nc a\nd e\ne f\nf d\nc d\n", "utf-8")
+    return argv
 
 
 HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
@@ -395,6 +413,9 @@ BAD_INPUTS = {
             "config tau": {"config": {"tau": 0.1}, **ONE_CELL},
             "config beta": {"config": {"beta": 9}, **ONE_CELL},
             "preset false": {"preset": False},
+            "preset list": {"preset": ["kar"]},
+            "graph list": {"graph": ["kar"]},
+            "detector algo number": {"detector": {"algo": 5}},
             "methods empty": {"methods": []},
             "taus empty": {"taus": []},
             "beta_factors empty": {"beta_factors": []},
@@ -406,6 +427,11 @@ BAD_INPUTS = {
             },
         }.items()
     },
+    # a graph is named by a string, never by a number that happens to name a file
+    "spec graph number": lambda tmp: _beside_file_5(tmp, (
+        "benchmark", "--spec", _json_file(tmp, {"graph": 5, **ONE_CELL}),
+        "--out", str(tmp / "out"),
+    )),
     "config exhaust_budget": lambda tmp: HIDE_9 + (
         "--preset", "kar", "--beta", "3", "--config", _json_file(tmp, {"exhaust_budget": True}),
     ),
@@ -449,6 +475,16 @@ UNKNOWN_KEYS = {
 }
 
 
+# the key each error line must name, whose value is not a JSON string
+NOT_A_STRING = {
+    "spec graph number": "'graph'",
+    "spec graph list": "'graph'",
+    "spec preset false": "'preset'",
+    "spec preset list": "'preset'",
+    "spec detector algo number": "'detector'",
+}
+
+
 UNREADABLE_FILES = {
     "config directory", "config not JSON", "graph directory", "graph not an edge list",
     "graph not utf-8", "partition directory", "partition not JSON", "partition not utf-8",
@@ -457,7 +493,8 @@ UNREADABLE_FILES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
+def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
     argv = BAD_INPUTS[case](tmp_path)
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2
@@ -468,6 +505,8 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, case):
         assert "node 'x' forms a singleton community" in line
     if case == "spec detector null":
         assert "'detector'" in line
+    if case in NOT_A_STRING:
+        assert NOT_A_STRING[case] in line and "must be a string" in line
     if "--weights" in argv:  # the message quotes what was typed
         assert repr(argv[argv.index("--weights") + 1]) in err
     if case in UNREADABLE_FILES:  # and names the file

@@ -138,6 +138,8 @@ def test_partition_helpers(kar_partition):
     assert len(membership) == 34
     for v in c:
         assert membership[v] == membership[0]
+    with pytest.raises(ValueError, match="covers 34 nodes, not 33"):
+        kar_partition.membership(33)
 
 
 def test_partition_rejects_overlap():

@@ -68,6 +68,7 @@ def test_nmi_input_validation():
 def test_f1_score_is_the_harmonic_mean():
     assert f1_score(1.0, 1.0) == 1.0
     assert f1_score(0.0, 0.9) == 0.0
+    assert f1_score(0.0, 0.0) == 0.0  # no mean to take: defined as 0
     assert f1_score(0.5, 1.0) == pytest.approx(2 / 3)
     assert f1_score(0.3, 0.7) == f1_score(0.7, 0.3)
 

@@ -20,15 +20,15 @@ from cmhide.gradient import (
     HidingOutcome,
     community_similarity,
     dice_similarity,
+    flipped,
     hide_projected,
     loss_gradient,
     loss_value,
     project_to_budget,
-    threshold,
 )
 from cmhide import gradient
 from cmhide.evaluation import budget_for
-from cmhide.graph import Graph
+from cmhide.graph import Graph, clamp_add, delta_between
 from cmhide.scoring import promising_actions, structural_scores, top_ranked
 from conftest import planted_blocks
 
@@ -61,10 +61,31 @@ def test_community_similarity_matches_dice_on_member_sets():
         assert community_similarity(reference, part, u) == want, (part, u, reference)
 
 
-def test_threshold_is_inclusive():
-    p = np.array([0.5, 0.49, 0.3, -0.5, -0.49, -0.6, 0.0, 0.9])
-    out = threshold(p)
-    assert out.tolist() == [1, 0, 0, -1, 0, -1, 0, 1]
+def inclusive_threshold(p_hat):
+    """p_hat as a discrete perturbation in {-1, 0, +1}, both thresholds inclusive."""
+    return np.where(p_hat >= FLIP, 1, np.where(p_hat <= -FLIP, -1, 0)).astype(np.int8)
+
+
+def test_flip_rule_equals_threshold_then_clamp_then_diff():
+    boundary = np.array([0.5, 0.49, 0.3, -0.5, -0.49, -0.6, 0.0, 0.9])
+    assert inclusive_threshold(boundary).tolist() == [1, 0, 0, -1, 0, -1, 0, 1]
+    assert flipped(np.zeros(8), boundary) == [0, 7]  # at or past +FLIP adds an edge
+    assert flipped(np.ones(8), boundary) == [3, 5]  # at or past -FLIP drops one
+    near = (FLIP, np.nextafter(FLIP, 0.0), np.nextafter(FLIP, 1.0))
+    edges = [sign * x for sign in (1.0, -1.0) for x in near]
+    rng = np.random.default_rng(25)
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        u = int(rng.integers(n))
+        bits = (rng.random(n) < rng.random()).astype(np.int8)
+        bits[u] = 0
+        p_hat = np.tanh(rng.normal(size=n) * rng.uniform(0.1, 3.0))
+        pinned = rng.random(n) < 0.3
+        p_hat[pinned] = rng.choice(edges + boundary.tolist(), int(pinned.sum()))
+        p_hat[u] = 0.0
+        want = delta_between(u, bits, clamp_add(bits, u, inclusive_threshold(p_hat)))
+        got = flipped(bits.astype(float), p_hat)
+        assert got == sorted(want.toggled), (bits, p_hat)
 
 
 def test_loss_value_closed_forms():
@@ -114,16 +135,22 @@ def test_loss_gradient_matches_finite_differences():
         assert rel <= 1e-5
 
 
-def test_loss_gradient_zeroes_owner_coordinate():
-    rng = np.random.default_rng(9)
-    row = rng.integers(0, 2, 8).astype(float)
-    target = rng.uniform(0, 1, 8)
-    p_hat = rng.uniform(-0.4, 0.4, 8)
-    g = loss_gradient(p_hat, target, row, lam=0.5, owner=3)
-    assert g[3] == 0.0
-    g_free = loss_gradient(p_hat, target, row, lam=0.5)
-    mask = np.arange(8) != 3
-    assert np.array_equal(g[mask], g_free[mask])
+def test_hide_keeps_the_owner_entry_of_p_hat_at_zero(cliques, greedy, monkeypatch):
+    # loss_gradient has a slope at the owner's entry; hide zeroes it, so
+    # p_hat[u] is 0.0 at every step and u is never proposed
+    u = 7
+    seen = []
+
+    def recording_gradient(p_hat, target_vec, row, lam):
+        grad = loss_gradient(p_hat, target_vec, row, lam)
+        seen.append((p_hat[u], grad[u]))
+        return grad
+
+    monkeypatch.setattr(gradient, "loss_gradient", recording_gradient)
+    outcome = hide(cliques, u, greedy, get_preset("kar").config(tau=0.3, beta=4), seed=2)
+    assert len(seen) == outcome.iterations == 120  # a stalled search runs every step
+    assert all(p == 0.0 for p, _ in seen)
+    assert any(g != 0.0 for _, g in seen)
 
 
 def assert_replays(g, outcome, detector, beta):
@@ -213,7 +240,8 @@ def sliding_projection(bits, u, p_hat, g_bar, applied, config):
             if not np.isfinite(r):
                 break
             p_hat = p_hat - r * step
-            fresh = np.flatnonzero((np.clip(bits + threshold(p_hat), 0, 1) != bits) & ~blocked)
+            moved = np.clip(bits + inclusive_threshold(p_hat), 0, 1)
+            fresh = np.flatnonzero((moved != bits) & ~blocked)
             if not fresh.size:
                 break
             if fresh.size > budget_left:
@@ -347,9 +375,10 @@ def test_hide_restarts_when_one_step_overshoots_budget(kar, greedy, kar_partitio
     p_hat = np.tanh(theta)
     scores = structural_scores(kar, kar_partition, config.weights)
     target_vec = promising_actions(0, kar_partition, scores)
-    grad = loss_gradient(p_hat, target_vec, bits.astype(float), config.lam, owner=0)
+    grad = loss_gradient(p_hat, target_vec, bits.astype(float), config.lam)
+    grad[0] = 0.0
     p_hat = np.tanh(theta - config.eta * grad / (np.abs(grad) + gradient.ADAM_EPS))
-    step = threshold(p_hat)
+    step = inclusive_threshold(p_hat)
     proposed = np.flatnonzero((bits == 0) & (step == 1) | (bits == 1) & (step == -1))
     assert proposed.size > config.beta
     kept = top_ranked(np.abs(p_hat) * np.abs(grad), proposed, config.beta)

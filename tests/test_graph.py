@@ -112,7 +112,9 @@ def test_overlay_stacking_xor():
     v2 = apply_delta(v1, EdgeDelta(2, frozenset((0,))))  # toggle back
     assert v2 == g and v2.m == g.m
     assert isinstance(v1, GraphOverlay)
+    assert repr(v1) == "GraphOverlay(n=3, m=3)"
     assert v1.has_edge(0, 2) and not g.has_edge(0, 2)
+    assert g != g.edges() and g.__eq__(g.edges()) is NotImplemented
 
 
 def test_adjacency_vector_bits(kar):

@@ -191,6 +191,7 @@ def test_pagerank_handles_isolated_nodes():
     g2 = graph_from_edges([(0, 1)])
     assert np.allclose(pagerank(g), 1.0 / 6.0, atol=1e-12)
     assert pagerank(g2).sum() == pytest.approx(1.0)
+    assert pagerank(Graph([])).shape == (0,)
 
 
 # rank_scores(betweenness(g)) as the queue-and-stack kernel left it. kar's
@@ -386,6 +387,8 @@ def test_structural_scores_spreadsheet_oracle(kar, kar_partition):
 
 def test_check_weights_scales_relative_weights():
     assert check_weights((1, 1, 1, 1)) == (0.25,) * 4
+    with pytest.raises(ConfigError, match="must be numbers"):
+        check_weights(("a", 1, 1, 1))
 
 
 def test_weights_validation():
