@@ -8,7 +8,7 @@ fully deterministic.
 
 A baseline is a plan: given the graph, the target, its community, the
 budget, a seed and the graph's structural scores (or None), it returns the
-row deltas to apply. `run_baseline` applies them and scores the result.
+row deltas to apply. `run_baseline` scores them with the attack's `Scorer`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 
-from .detectors import DetectorSpec, Partition, detect
+from .detectors import DetectorSpec, Partition, detect  # detect: perfbench reads it here
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, _outcome, _prepare_target, community_similarity
-from .graph import EdgeDelta, Graph, apply_delta
+from .gradient import HidingConfig, HidingOutcome, _outcome, _prepare_target
+from .graph import EdgeDelta, Graph
 from .scoring import StructuralScores, betweenness, top_ranked
 
 
@@ -148,14 +148,6 @@ def run_baseline(
             f"unknown baseline {name!r}; available: {', '.join(BASELINE_NAMES)}"
         ) from None
     t_start = time.perf_counter()
-    partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
-    deltas = plan(g, u, partition.community_members(u), min(config.beta, g.n - 1), seed, scores)
-    rewired = g
-    for d in deltas:
-        rewired = apply_delta(rewired, d)
-    scored = (1.0, g, partition)  # the input row, as `hide` scores it
-    if rewired is not g:  # apply_delta gives g itself for an empty delta
-        part2 = detect(rewired, detector)
-        detections += 1
-        scored = (community_similarity(reference, part2, u), rewired, part2)
-    return _outcome(u, config, deltas, scored, t_start, detections=detections)
+    score = _prepare_target(g, u, detector, partition, seed)
+    deltas = plan(g, u, score.reference | {u}, min(config.beta, g.n - 1), seed, scores)
+    return _outcome(score, config, deltas, t_start)

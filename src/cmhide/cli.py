@@ -68,7 +68,9 @@ def _load_graph(path: str) -> Graph:
 
 def _detector_from_json(value, key: str) -> DetectorSpec:
     def build(obj: dict) -> DetectorSpec:
-        return DetectorSpec(obj.pop("algo", "greedy"), **obj)
+        if not fits(str, algo := obj.pop("algo", "greedy")):  # DetectorSpec names it `name`
+            raise ConfigError(f"'algo' must be a string, got {algo!r}")
+        return DetectorSpec(algo, **obj)
 
     return from_json(value, "detector", repr(key), build, ("algo", "seed"))
 

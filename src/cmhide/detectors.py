@@ -95,24 +95,6 @@ class Partition:
         return np.array(self.labels, dtype=np.int64)
 
 
-def modularity(g: Graph, partition: Partition) -> float:
-    """Newman modularity of a partition; 0.0 on an edgeless graph."""
-    m = g.m
-    if m == 0:
-        return 0.0
-    q = 0.0
-    for comm in partition.communities:
-        intra = 0
-        dsum = 0
-        for v in comm:
-            dsum += g.degree(v)
-            for w in g.neighbors(v):
-                if w in comm and w > v:
-                    intra += 1
-        q += intra / m - (dsum / (2.0 * m)) ** 2
-    return q
-
-
 def _greedy(g: Graph) -> Partition:
     """Clauset-Newman-Moore agglomeration: merge the best pair while its gain is > 0.
 

@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import BASELINE_NAMES, run_baseline
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, community_similarity, hide
+from .gradient import HidingConfig, HidingOutcome, Scorer, hide
 from .graph import Graph
 from .schema import check_types
 from .scoring import StructuralScores, pagerank, structural_scores, top_ranked
@@ -279,11 +279,9 @@ def _run_cell(
     beta = budget_for(g, beta_factor, spec.mu_plus_one)
     cell_config = replace(spec.config, tau=tau, beta=beta)
     eval_det = spec.effective_eval_detector
-    same_detector = eval_det == spec.detector
     targets = sample_targets(
         inv.part_attack, derive_seed(spec.seed, "targets", run), spec.max_targets
     )
-    references = {u: inv.part_eval.community_members(u) - {u} for u in targets}
     records: list[TargetRecord] = []
     for method in spec.methods:
         for u in targets:
@@ -295,13 +293,10 @@ def _run_cell(
                 method, g, u, spec.detector, cell_config, seed, inv.part_attack, inv.scores
             )
             wall = time.perf_counter() - t0
-            if same_detector:
-                part_eval_after = outcome.partition
-            elif outcome.graph is g:  # nothing rewired
-                part_eval_after = inv.part_eval
+            if eval_det == spec.detector:
+                sim_eval, part_eval_after = outcome.similarity, outcome.partition
             else:
-                part_eval_after = detect(outcome.graph, eval_det)
-            sim_eval = community_similarity(references[u], part_eval_after, u)
+                sim_eval, _, part_eval_after = Scorer(g, u, eval_det, inv.part_eval)(outcome.deltas)
             nmi_val = nmi(inv.labels_before, part_eval_after.membership(g.n))
             records.append(
                 TargetRecord(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -100,16 +99,8 @@ class HidingOutcome:
         return self.deltas[0]
 
 
-def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
-    """Soerensen-Dice overlap of two node sets; defined as 0 when both are empty."""
-    sa, sb = set(a), set(b)
-    if not sa and not sb:
-        return 0.0
-    return 2.0 * len(sa & sb) / (len(sa) + len(sb))
-
-
 def community_similarity(reference: frozenset[int], partition: Partition, u: int) -> float:
-    """dice_similarity(reference, partition.community_members(u) - {u}), from the labels alone."""
+    """Soerensen-Dice overlap of reference and u's community without u; 0 when both are empty."""
     labels = partition.labels
     c = labels[u]
     size = labels.count(c) - 1
@@ -150,42 +141,67 @@ def loss_gradient(
     return -_unit(target_vec - row - p_hat) + lam * p_hat.size ** -0.5 * _unit(p_hat)
 
 
+class Scorer:
+    """Detects rewired graphs of g and reads u's similarity off them; `calls` counts each run.
+
+    g's partition is detected, as one call, when none is given. Called on row
+    deltas, it applies the ones that toggle something, detects the result once
+    and caches (similarity, graph, partition) under them; no toggle gives g.
+    """
+
+    __slots__ = ("g", "u", "detector", "partition", "reference", "calls", "_cache")
+
+    def __init__(self, g: Graph, u: int, detector: DetectorSpec, partition: Partition | None):
+        self.g, self.u, self.detector, self.calls = g, u, detector, 0
+        if partition is None:
+            partition = detect(g, detector)
+            self.calls = 1
+        self.partition = partition
+        self.reference = partition.community_members(u) - {u}
+        # the input graph: u's community is its reference, Dice 0 only when both are empty
+        self._cache = {(): (1.0 if self.reference else 0.0, g, partition)}
+
+    def __call__(self, deltas: tuple[EdgeDelta, ...]) -> tuple[float, Graph, Partition]:
+        key = tuple([d for d in deltas if d.toggled])
+        hit = self._cache.get(key)
+        if hit is None:
+            rewired = self.g
+            for d in key:
+                rewired = apply_delta(rewired, d)
+            part = detect(rewired, self.detector)
+            self.calls += 1
+            sim = community_similarity(self.reference, part, self.u)
+            hit = self._cache[key] = (sim, rewired, part)
+        return hit
+
+
 def _prepare_target(
     g: Graph, u: int, detector: DetectorSpec, partition: Partition | None, seed: int
-) -> tuple[Partition, frozenset[int], int]:
-    """Prelude shared by every attack.
-
-    Checks the attack seed and the target, detects the partition when none
-    is given and returns it with the target's reference set (its community
-    without itself) and the number of detector calls spent.
-    """
+) -> Scorer:
+    """Prelude shared by every attack: checks the seed and the target, returns its scorer."""
     if not fits(int, seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= u < g.n:
         raise ValueError(f"target {u} outside graph with n={g.n}")
-    detections = 0
-    if partition is None:
-        partition = detect(g, detector)
-        detections = 1
-    reference = partition.community_members(u) - {u}
-    if not reference:
+    score = Scorer(g, u, detector, partition)
+    if not score.reference:
         raise SingletonCommunityError(
             f"node {g.label_of(u)!r} forms a singleton community; nothing to hide"
         )
-    return partition, reference, detections
+    return score
 
 
 def _outcome(
-    u: int, config: HidingConfig, deltas: tuple[EdgeDelta, ...],
-    scored: tuple[float, Graph, Partition], t_start: float, **counts: int,
+    score: Scorer, config: HidingConfig, deltas: tuple[EdgeDelta, ...], t_start: float,
+    **counts: int,
 ) -> HidingOutcome:
-    """Epilogue shared by every attack; scored is the rewired (similarity, graph, partition)."""
-    similarity, graph, partition = scored
+    """Epilogue shared by every attack: scores the final deltas and counts every call."""
+    similarity, graph, partition = score(deltas)
     used = sum(d.size for d in deltas)
     return HidingOutcome(
-        target=u, success=config.hides(similarity, used), similarity=similarity,
+        target=score.u, success=config.hides(similarity, used), similarity=similarity,
         deltas=deltas, used_budget=used, graph=graph, partition=partition,
-        wall_seconds=time.perf_counter() - t_start, **counts,
+        detections=score.calls, wall_seconds=time.perf_counter() - t_start, **counts,
     )
 
 
@@ -200,37 +216,26 @@ def hide(
 ) -> HidingOutcome:
     """Search for a hiding rewiring of node u's row within the budget.
 
-    Every row the search proposes within budget is scored once: detected,
-    and its similarity, graph and partition kept, so the cache's size
-    counts the detector calls. The search stops at the first row that
-    `config.hides` and returns the best row scored. Adam steps theta, with
-    p_hat = tanh(theta); the loss gradient is taken with respect to p_hat,
-    without the chain factor 1 - p_hat**2, and zeroed at u, so theta[u]
-    stays 0 and u never flips. A step proposes the flips `flipped` reads
-    off p_hat; one that proposes more than beta flips keeps the beta of
-    them ranked highest by |p_hat| * |grad|, ties to the smaller id, and
-    Adam goes on from the theta it moved. With config.exhaust_budget the
-    search ends with project_to_budget, which spends whatever budget is
-    left. `seed` draws the one starting point.
+    Every row the search proposes within budget is scored by the attack's
+    `Scorer`. The search stops at the first row that `config.hides` and
+    returns the best row scored. Adam steps theta, with p_hat = tanh(theta);
+    the loss gradient is taken with respect to p_hat, without the chain
+    factor 1 - p_hat**2, and zeroed at u, so theta[u] stays 0 and u never
+    flips. A step proposes the flips `flipped` reads off p_hat; one that
+    proposes more than beta flips keeps the beta of them ranked highest by
+    |p_hat| * |grad|, ties to the smaller id, and Adam goes on from the
+    theta it moved. With config.exhaust_budget the search ends with
+    project_to_budget, which spends whatever budget is left. `seed` draws
+    the one starting point.
     """
     t_start = time.perf_counter()
     n = g.n
-    partition, reference, detections = _prepare_target(g, u, detector, partition, seed)
+    score = _prepare_target(g, u, detector, partition, seed)
     if scores is None:
-        scores = structural_scores(g, partition, config.weights)
-    target_vec = promising_actions(u, partition, scores)
+        scores = structural_scores(g, score.partition, config.weights)
+    target_vec = promising_actions(u, score.partition, scores)
     row = g.row(u).astype(float)
-    best = EdgeDelta(u)
-    scored: dict[EdgeDelta, tuple[float, Graph, Partition]] = {best: (1.0, g, partition)}
-
-    def score(delta: EdgeDelta) -> float:
-        """Similarity of a rewired row, detected the first time it is scored."""
-        hit = scored.get(delta)
-        if hit is None:
-            g2 = apply_delta(g, delta)
-            part2 = detect(g2, detector)
-            hit = scored[delta] = (community_similarity(reference, part2, u), g2, part2)
-        return hit[0]
+    best, best_sim = EdgeDelta(u), score(())[0]
 
     theta = np.arctanh(np.random.default_rng(seed).uniform(-0.5, 0.5, n))
     theta[u] = 0.0
@@ -238,7 +243,7 @@ def hide(
     g_acc = np.zeros(n)  # GAMMA-discounted gradient sum
     restarts = iterations = 0
     # the first row that hides u is scored lower than every row before it
-    while not config.hides(scored[best][0], best.size) and iterations < config.max_iter:
+    while not config.hides(best_sim, best.size) and iterations < config.max_iter:
         iterations += 1
         grad = loss_gradient(p_hat, target_vec, row, config.lam)
         grad[u] = 0.0
@@ -254,18 +259,13 @@ def hide(
             restarts += 1
             flips = top_ranked(np.abs(p_hat * grad), flips, config.beta)
         delta = EdgeDelta(u, flips)
-        if score(delta) < scored[best][0]:
-            best = delta
+        if (similarity := score((delta,))[0]) < best_sim:
+            best, best_sim = delta, similarity
 
     if config.exhaust_budget:
         g_bar = (1.0 - GAMMA) * g_acc
         best = EdgeDelta(u, project_to_budget(row, u, p_hat, g_bar, best.toggled, config))
-        score(best)
-    # every entry of the cache but the input row cost one detector call
-    return _outcome(
-        u, config, (best,), scored[best], t_start, iterations=iterations,
-        detections=detections + len(scored) - 1, restarts=restarts,
-    )
+    return _outcome(score, config, (best,), t_start, iterations=iterations, restarts=restarts)
 
 
 def hide_projected(

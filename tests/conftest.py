@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 from collections import Counter
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ def set_partitions(items):
         yield [[first]] + smaller
 
 
+def modularity(g: Graph, partition: Partition) -> float:
+    """Newman modularity of a partition; 0.0 on an edgeless graph."""
+    m = g.m
+    if m == 0:
+        return 0.0
+    q = 0.0
+    for comm in partition.communities:
+        intra = 0
+        dsum = 0
+        for v in comm:
+            dsum += g.degree(v)
+            for w in g.neighbors(v):
+                if w in comm and w > v:
+                    intra += 1
+        q += intra / m - (dsum / (2.0 * m)) ** 2
+    return q
+
+
 def brute_modularity(g: Graph, part: Partition) -> float:
     """Newman's double sum over all ordered node pairs; 0 on an edgeless graph."""
     if g.m == 0:
@@ -128,6 +147,14 @@ def brute_modularity(g: Graph, part: Partition) -> float:
             a = 1.0 if i != j and g.has_edge(i, j) else 0.0
             q += a - g.degree(i) * g.degree(j) / two_m
     return q / two_m
+
+
+def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
+    """Soerensen-Dice overlap of two node sets; defined as 0 when both are empty."""
+    sa, sb = set(a), set(b)
+    if not sa and not sb:
+        return 0.0
+    return 2.0 * len(sa & sb) / (len(sa) + len(sb))
 
 
 def brute_nmi(a, b) -> float:

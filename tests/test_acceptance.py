@@ -30,12 +30,13 @@ from cmhide import (
     run_experiment,
 )
 from cmhide.cli import main as cli_main
-from cmhide.detectors import modularity
-from cmhide.gradient import dice_similarity, loss_gradient, loss_value
+from cmhide.gradient import loss_gradient, loss_value
 from cmhide.graph import Graph
 from cmhide.scoring import betweenness
 
-from conftest import brute_modularity, brute_nmi, random_graph, set_partitions
+from conftest import (
+    brute_modularity, brute_nmi, dice_similarity, modularity, random_graph, set_partitions,
+)
 
 ORACLE_TOL = 1e-10
 

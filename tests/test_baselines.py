@@ -14,7 +14,9 @@ from cmhide import (
     run_baseline,
     structural_scores,
 )
-from cmhide import baselines
+from cmhide import baselines, gradient
+from cmhide.baselines import BASELINE_NAMES
+from cmhide.gradient import Scorer
 from cmhide.graph import Graph
 from cmhide.scoring import betweenness
 from conftest import random_graph
@@ -247,6 +249,49 @@ def test_baselines_respect_budget_and_replay(kar, greedy, name, beta):
     assert outcome.success == (outcome.similarity <= cfg.tau)
     assert outcome.success == cfg.hides(outcome.similarity, outcome.used_budget)
     assert outcome.wall_seconds > 0
+
+
+@pytest.fixture
+def detected(monkeypatch) -> list[Graph]:
+    """Every graph an attack or a scorer detects, in call order."""
+    calls: list[Graph] = []
+
+    def recording_detect(g, spec):
+        calls.append(g)
+        return detect(g, spec)
+
+    monkeypatch.setattr(gradient, "detect", recording_detect)
+    return calls
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["partition", "no partition"])
+@pytest.mark.parametrize("name", BASELINE_NAMES)
+def test_baseline_detections_count_every_call_once(
+    kar, kar_partition, greedy, detected, name, given
+):
+    partition = kar_partition if given else None
+    outcome = run_baseline(name, kar, kar.id_of("9"), greedy, CFG, partition=partition)
+    assert outcome.detections == len(detected)
+    assert len({frozenset(g.edges()) for g in detected}) == len(detected)
+    if given:
+        assert kar not in detected
+
+
+def test_scorer_detects_each_rewiring_once(kar, kar_partition, greedy, detected):
+    u = kar.id_of("9")
+    d0, d1 = run_baseline("roam", kar, u, greedy, CFG, partition=kar_partition).deltas
+    detected.clear()
+    score = Scorer(kar, u, greedy, kar_partition)
+    assert score(()) == score((EdgeDelta(u),)) == (1.0, kar, kar_partition)
+    assert score.calls == len(detected) == 0
+    similarity, rewired, partition = score((d0, d1))
+    assert rewired == apply_delta(apply_delta(kar, d0), d1)
+    assert partition == detect(rewired, greedy)
+    assert score((d0, EdgeDelta(u), d1)) == (similarity, rewired, partition)
+    assert score.calls == len(detected) == 1
+    # a target alone in its community: the input graph scores Dice 0, as two empty sets do
+    g = Graph([("a", "b")], node_labels=["a", "b", "u"])
+    assert Scorer(g, g.id_of("u"), greedy, None)(())[0] == 0.0
 
 
 def test_baseline_outputs_locked_on_karate(kar, greedy):

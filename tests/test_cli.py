@@ -481,7 +481,7 @@ NOT_A_STRING = {
     "spec graph list": "'graph'",
     "spec preset false": "'preset'",
     "spec preset list": "'preset'",
-    "spec detector algo number": "'detector'",
+    "spec detector algo number": "'algo'",
 }
 
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from cmhide import ConfigError, DetectorSpec, EdgeDelta, Partition, apply_delta, detect
-from cmhide.detectors import DETECTOR_NAMES, modularity
+from cmhide.detectors import DETECTOR_NAMES
 from cmhide.graph import Graph
 
 from conftest import (
-    brute_modularity, brute_nmi, graph_from_edges, planted_blocks, random_graph, set_partitions,
+    brute_modularity, brute_nmi, graph_from_edges, modularity, planted_blocks, random_graph,
+    set_partitions,
 )
 
 

@@ -313,6 +313,25 @@ def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detect
     assert sorted(unperturbed_detects) == expected
 
 
+def test_a_target_alone_under_the_eval_detector_still_gives_records(kar):
+    # the attack detector puts every target in a community; the eval partition
+    # here leaves each one alone, so its eval reference is empty and scores 0
+    spec = ExperimentSpec(
+        methods=("gradient", "roam", "random"), taus=(0.5,), beta_factors=(1.0,), runs=1,
+        seed=1, max_targets=3, detector=DetectorSpec("greedy"),
+        eval_detector=DetectorSpec("louvain"), config=get_preset("kar").config(),
+    )
+    inv = evaluation._invariants(kar, spec)
+    targets = sample_targets(inv.part_attack, evaluation.derive_seed(1, "targets", 0), 3)
+    alone = Partition.from_labels(
+        ("alone", v) if v in targets else c for v, c in enumerate(inv.part_eval.labels)
+    )
+    inv = replace(inv, part_eval=alone, labels_before=alone.membership(kar.n))
+    records = evaluation._run_cell(kar, spec, inv, 0, 0.5, 1.0)
+    assert len(records) == 3 * len(targets) > 0
+    assert all(r.similarity == 0.0 and r.success for r in records)
+
+
 def test_import_leaves_process_pools_unloaded():
     # only run_experiment with jobs > 1 needs them
     code = (

@@ -19,7 +19,6 @@ from cmhide.gradient import (
     FLIP,
     HidingOutcome,
     community_similarity,
-    dice_similarity,
     flipped,
     hide_projected,
     loss_gradient,
@@ -30,7 +29,7 @@ from cmhide import gradient
 from cmhide.evaluation import budget_for
 from cmhide.graph import Graph, clamp_add, delta_between
 from cmhide.scoring import promising_actions, structural_scores, top_ranked
-from conftest import planted_blocks
+from conftest import dice_similarity, planted_blocks
 
 
 def test_dice_similarity_examples():
