@@ -136,7 +136,7 @@ class TargetRecord:
     iterations: int
     detections: int
     restarts: int
-    wall_seconds: float
+    wall_seconds: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ class SummaryRow:
     used_success_mean: float
     counterpart_pr_mean: float
     counterpart_pr_std: float
-    wall_seconds: float
+    wall_seconds: float = field(compare=False)
 
 
 @dataclass
@@ -288,11 +288,9 @@ def _run_cell(
             seed = derive_seed(
                 spec.seed, "attack", run, method, repr(tau), repr(beta_factor), u
             )
-            t0 = time.perf_counter()
             outcome = attack(
                 method, g, u, spec.detector, cell_config, seed, inv.part_attack, inv.scores
             )
-            wall = time.perf_counter() - t0
             if eval_det == spec.detector:
                 sim_eval, part_eval_after = outcome.similarity, outcome.partition
             else:
@@ -315,7 +313,7 @@ def _run_cell(
                     iterations=outcome.iterations,
                     detections=outcome.detections,
                     restarts=outcome.restarts,
-                    wall_seconds=wall,
+                    wall_seconds=outcome.wall_seconds,
                 )
             )
     return records

@@ -149,6 +149,51 @@ def brute_modularity(g: Graph, part: Partition) -> float:
     return q / two_m
 
 
+def brute_pagerank(g: Graph, damping: float = 0.85) -> np.ndarray:
+    """Dense linear solve of the PageRank fixed point; a dangling node links to every node."""
+    n = g.n
+    link = np.zeros((n, n))
+    for u in range(n):
+        nbrs = g.neighbors(u)
+        if nbrs:
+            for v in nbrs:
+                link[v, u] = 1.0 / len(nbrs)
+        else:
+            link[:, u] = 1.0 / n
+    return np.linalg.solve(np.eye(n) - damping * link, np.full(n, (1 - damping) / n))
+
+
+def brute_betweenness(g: Graph) -> np.ndarray:
+    """Enumerate every shortest path between every pair; count interior visits."""
+    n = g.n
+    bc = np.zeros(n)
+    for s, t in itertools.combinations(range(n), 2):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier and t not in dist:
+            nxt = []
+            for u in frontier:
+                for v in g.neighbors(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if t not in dist:
+            continue
+        paths = [[t]]
+        while any(p[-1] != s for p in paths):
+            paths = [
+                p + [w]
+                for p in paths
+                for w in g.neighbors(p[-1])
+                if dist.get(w, -1) == dist[p[-1]] - 1
+            ]
+        for p in paths:
+            for v in p[1:-1]:
+                bc[v] += 1.0 / len(paths)
+    return bc
+
+
 def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     """Soerensen-Dice overlap of two node sets; defined as 0 when both are empty."""
     sa, sb = set(a), set(b)

@@ -35,7 +35,8 @@ from cmhide.graph import Graph
 from cmhide.scoring import betweenness
 
 from conftest import (
-    brute_modularity, brute_nmi, dice_similarity, modularity, random_graph, set_partitions,
+    brute_betweenness, brute_modularity, brute_nmi, brute_pagerank, dice_similarity, modularity,
+    random_graph, set_partitions,
 )
 
 ORACLE_TOL = 1e-10
@@ -55,49 +56,6 @@ def small_graph(n: int, edge_bits: int) -> Graph:
     return Graph(
         [(str(a), str(b)) for a, b in edges], node_labels=[str(v) for v in range(n)]
     )
-
-
-def brute_pagerank(g: Graph, damping: float = 0.85) -> np.ndarray:
-    n = g.n
-    link = np.zeros((n, n))
-    for u in range(n):
-        nbrs = g.neighbors(u)
-        if nbrs:
-            for v in nbrs:
-                link[v, u] = 1.0 / len(nbrs)
-        else:
-            link[:, u] = 1.0 / n
-    return np.linalg.solve(np.eye(n) - damping * link, np.full(n, (1 - damping) / n))
-
-
-def brute_betweenness(g: Graph) -> np.ndarray:
-    n = g.n
-    bc = np.zeros(n)
-    for s, t in combinations(range(n), 2):
-        dist = {s: 0}
-        frontier = [s]
-        while frontier and t not in dist:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if t not in dist:
-            continue
-        paths = [[t]]
-        while any(p[-1] != s for p in paths):
-            paths = [
-                p + [w]
-                for p in paths
-                for w in g.neighbors(p[-1])
-                if dist.get(w, -1) == dist[p[-1]] - 1
-            ]
-        for p in paths:
-            for v in p[1:-1]:
-                bc[v] += 1.0 / len(paths)
-    return bc
 
 
 @pytest.fixture(scope="module")

@@ -696,8 +696,8 @@ def test_hide_verbose_adds_only_a_digest_on_stderr(capsys, tmp_path, flags, dige
     assert quiet_err == "" and err == digest
 
 
-def _records_without_wall_seconds(out_dir: Path) -> list[dict]:
-    with open(out_dir / "records.csv", newline="", encoding="utf-8") as fh:
+def _csv_without_wall_seconds(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
         return [{k: v for k, v in row.items() if k != "wall_seconds"} for row in csv.DictReader(fh)]
 
 
@@ -707,11 +707,11 @@ def test_benchmark_verbose_adds_only_a_digest_on_stderr(capsys, tmp_path):
     argv = ("benchmark", "--spec", _json_file(tmp_path, spec), "--out", str(tmp_path / "b"),
             "--jobs", "1")
     rc, quiet, quiet_err = run_cli(capsys, *argv)
-    records = _records_without_wall_seconds(tmp_path / "b")
+    records = _csv_without_wall_seconds(tmp_path / "b" / "records.csv")
     rc_verbose, out, err = run_cli(capsys, *argv, "--verbose")
     assert rc == rc_verbose == 0
     assert out == quiet and quiet_err == ""
-    assert _records_without_wall_seconds(tmp_path / "b") == records
+    assert _csv_without_wall_seconds(tmp_path / "b" / "records.csv") == records
     with open(tmp_path / "b" / "summary.csv", newline="", encoding="utf-8") as fh:
         summary = list(csv.DictReader(fh))
     lines = err.splitlines()
@@ -722,16 +722,58 @@ def test_benchmark_verbose_adds_only_a_digest_on_stderr(capsys, tmp_path):
         assert line.endswith(f"F1={float(row['f1_mean']):.3f}")
 
 
-def test_readme_quick_start_runs_as_written(capsys):
+README_HIDE = "cmhide hide --graph kar --target 9 "
+
+
+def _readme_quick_start() -> tuple[list[str], str]:
+    """The quick start's `cmhide` command lines and its Python block."""
     quick = README.read_text("utf-8").split("## Quick start\n", 1)[1].split("\n## ", 1)[0]
     shell, python = re.findall(r"```(?:sh|python)\n(.*?)```", quick, re.S)
-    hide_line = "cmhide hide --graph kar --target 9 "
-    commands = [line for line in shell.splitlines() if line.startswith("cmhide ")]
-    assert any(line.startswith(hide_line) for line in commands)
+    return [line for line in shell.splitlines() if line.startswith("cmhide ")], python
+
+
+def _readme_hide_line() -> str:
+    (line,) = [c for c in _readme_quick_start()[0] if c.startswith(README_HIDE)]
+    return line
+
+
+def test_reruns_in_new_processes_agree_under_any_hash_seed(tmp_path):
+    # every other determinism test runs in one process, under one string-hash seed
+    spec = {"graph": "kar", "preset": "kar", "detector": {"algo": "louvain"},
+            "eval_detector": {"algo": "label_propagation"}, "taus": [0.5],
+            "beta_factors": [1.0], "max_targets": 2}
+    spec_path = _json_file(tmp_path, spec)
+    src = str(Path(cmhide.__file__).parents[1])
+    runs = []
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / f"bench{hash_seed}"
+        env = {"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        cli = [sys.executable, "-m", "cmhide.cli"]
+        bench = subprocess.run(
+            [*cli, "benchmark", "--spec", spec_path, "--out", str(out_dir), "--jobs", "1"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        hidden = subprocess.run(
+            [*cli, *shlex.split(_readme_hide_line())[1:]], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        runs.append((
+            bench.stdout.replace(str(out_dir), "<out>"),
+            _csv_without_wall_seconds(out_dir / "records.csv"),
+            _csv_without_wall_seconds(out_dir / "summary.csv"),
+            _without_wall_ms(hidden.stdout),
+        ))
+    assert len(runs[0][1]) > 0 and runs[0][3]["target"] == "9"
+    assert runs[0] == runs[1]
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    commands, python = _readme_quick_start()
+    assert any(line.startswith(README_HIDE) for line in commands)
     for line in commands:
         rc, out, err = run_cli(capsys, *shlex.split(line)[1:])
         assert rc == 0, (line, err)
-        if line.startswith(hide_line):
+        if line.startswith(README_HIDE):
             shown = json.loads(out)
     exec(compile(python, str(README), "exec"), {})
     printed = capsys.readouterr().out.split()

@@ -244,8 +244,7 @@ def test_experiment_is_deterministic_across_jobs(cliques, cliques_report, pool_s
     spec, report = cliques_report
     parallel = run_experiment(cliques, replace(spec, jobs=2))
     assert pool_sizes == [2]
-    strip = lambda recs: [replace(r, wall_seconds=0.0) for r in recs]
-    assert strip(parallel.records) == strip(report.records)
+    assert parallel.records == report.records
 
 
 def test_pool_starts_no_more_workers_than_cells_or_cpus(cliques, cliques_report, monkeypatch):
@@ -270,13 +269,43 @@ def test_pool_starts_no_more_workers_than_cells_or_cpus(cliques, cliques_report,
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(evaluation, "_shared", None)
-    strip = lambda recs: [replace(r, wall_seconds=0.0) for r in recs]
     for cpus, want in ((64, [2]), (1, [])):  # 2 cells; one CPU runs them serially
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pooled = run_experiment(cliques, replace(spec, jobs=10_000))
         assert sizes == want
-        assert strip(pooled.records) == strip(report.records)
+        assert pooled.records == report.records
+
+
+def test_records_take_the_wall_time_their_attack_stamps(kar, monkeypatch):
+    # one clock per attack: a record's wall time is its outcome's, not a second reading
+    spec = ExperimentSpec(
+        methods=("gradient_projected", "degree"), taus=(0.5,), beta_factors=(0.5, 1.0),
+        runs=2, seed=3, max_targets=2, config=get_preset("kar").config(),
+    )
+    outcomes = {}
+    real_attack = evaluation.attack
+
+    def recording(method, g, u, detector, config, seed, *rest):
+        outcome = real_attack(method, g, u, detector, config, seed, *rest)
+        outcomes[seed] = outcome
+        return outcome
+
+    monkeypatch.setattr(evaluation, "attack", recording)
+    report = run_experiment(kar, spec)
+    assert len(outcomes) == len(report.records) > 0
+    for r in report.records:
+        seed = evaluation.derive_seed(
+            spec.seed, "attack", r.run, r.method, repr(r.tau), repr(r.beta_factor), r.target
+        )
+        assert r.wall_seconds == outcomes[seed].wall_seconds > 0.0
+    for row in report.summary:
+        cell = [r for r in report.records if (r.method, r.tau, r.beta_factor)
+                == (row.method, row.tau, row.beta_factor)]
+        assert row.wall_seconds == sum(r.wall_seconds for r in cell)
+    # two runs' rows compare equal whatever their wall times read
+    for row in (report.records[0], report.summary[0]):
+        assert replace(row, wall_seconds=-1.0) == row
 
 
 @pytest.mark.parametrize("eval_detector", [None, DetectorSpec("louvain", seed=3)])

@@ -25,33 +25,10 @@ from cmhide.scoring import (
     top_ranked,
 )
 
-from conftest import graph_from_edges, layered_graph, planted_blocks, random_graph
-
-
-def brute_betweenness(g) -> np.ndarray:
-    """Enumerate every shortest path between every pair; count interior visits."""
-    n = g.n
-    bc = np.zeros(n)
-    for s, t in itertools.combinations(range(n), 2):
-        paths = [[s]]
-        shortest: list[list[int]] = []
-        while paths and not shortest:
-            nxt = []
-            for p in paths:
-                for w in g.neighbors(p[-1]):
-                    if w in p:
-                        continue
-                    if w == t:
-                        shortest.append(p + [w])
-                    else:
-                        nxt.append(p + [w])
-            paths = nxt
-        if not shortest:
-            continue
-        for p in shortest:
-            for v in p[1:-1]:
-                bc[v] += 1.0 / len(shortest)
-    return bc
+from conftest import (
+    brute_betweenness, brute_pagerank, graph_from_edges, layered_graph, planted_blocks,
+    random_graph,
+)
 
 
 def queue_betweenness(g) -> np.ndarray:
@@ -89,21 +66,6 @@ def queue_betweenness(g) -> np.ndarray:
             if w != s:
                 bc[w] += delta[w]
     return bc / 2.0
-
-
-def brute_pagerank(g, damping=0.85) -> np.ndarray:
-    """Dense linear solve of the PageRank fixed point."""
-    n = g.n
-    M = np.zeros((n, n))
-    for w in range(n):
-        deg = g.degree(w)
-        if deg == 0:
-            M[:, w] = 1.0 / n
-        else:
-            for v in g.neighbors(w):
-                M[v, w] = 1.0 / deg
-    b = np.full(n, (1.0 - damping) / n)
-    return np.linalg.solve(np.eye(n) - damping * M, b)
 
 
 def test_rank_scores_example():
