@@ -1,8 +1,9 @@
 """Command-line interface: detect, hide, benchmark and analyze subcommands.
 
-Machine output is JSON (or CSV for tabular data) on stdout or --out;
---verbose adds a human-readable digest on stderr. Exit codes: 0 success,
-1 hiding failed under --strict, 2 usage or config errors. `hide` takes its
+Machine output is JSON (or CSV for tabular data) on stdout or --out; this
+module formats all of it, with one JSON dump and one CSV cell rule. --verbose
+adds a human-readable digest on stderr. Exit codes: 0 success, 1 hiding
+failed under --strict, 2 usage or config errors. `hide` takes its
 optimiser settings from a built-in --preset, then a --config file that
 beats it, as a benchmark spec takes them from its `preset` and `config`;
 tau and beta come from --tau and --beta alone.
@@ -16,21 +17,20 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from .detectors import DETECTOR_NAMES, DetectorSpec, Partition, detect
 from .errors import CmhideError, ConfigError, EdgeListParseError
 from .evaluation import (
     ALL_METHODS,
     ExperimentSpec,
+    Report,
     SummaryRow,
     TargetRecord,
     attack,
-    report_to_json,
     run_experiment,
-    write_csv,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .gradient import HidingConfig, HidingOutcome
@@ -84,12 +84,42 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n", "utf-8")
 
 
+def _json(payload) -> str:
+    """Every JSON output: indented, with sorted keys, so reruns compare byte for byte."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _fmt(value) -> str:
+    """Every CSV cell: a bool is 0/1, a float .12g, a tuple its items joined with ';'."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def write_csv(columns: Sequence[str], rows: Iterable[Sequence], sink: IO[str]) -> None:
+    """A header of `columns`, then one line per row of values."""
+    writer = csv.writer(sink)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
+def report_to_json(report: Report) -> str:
+    """report.json: a benchmark's meta, summary rows and records."""
+    return _json({
+        "meta": report.meta,
+        "summary": [asdict(row) for row in report.summary],
+        "records": [asdict(r) for r in report.records],
+    })
+
+
 def _partition_json(algo: str, seed: int, g: Graph, part: Partition) -> str:
     communities = [[g.label_of(v) for v in sorted(c)] for c in part.communities]
-    return json.dumps(
-        {"algo": algo, "seed": seed, "communities": communities},
-        indent=2, sort_keys=True,
-    )
+    return _json({"algo": algo, "seed": seed, "communities": communities})
 
 
 def _partition_from_json(path: str, g: Graph) -> Partition:
@@ -151,14 +181,7 @@ def _outcome_json(g: Graph, method: str, outcome: HidingOutcome, config: HidingC
         "restarts": outcome.restarts,
         "wall_ms": outcome.wall_seconds * 1000.0,
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _emit_value_csv(labels: Sequence[str], values: Sequence[float], sink: IO[str]) -> None:
-    writer = csv.writer(sink)
-    writer.writerow(("node", "value"))
-    for label, value in zip(labels, values):
-        writer.writerow((label, format(float(value), ".12g")))
+    return _json(payload)
 
 
 def _cmd_detect(args) -> int:
@@ -218,10 +241,11 @@ def _cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report) + "\n", "utf-8")
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        write_csv(SummaryRow, report.summary, fh)
-    with open(out_dir / "records.csv", "w", newline="", encoding="utf-8") as fh:
-        write_csv(TargetRecord, report.records, fh)
+    for name, row_type, rows in (
+        ("summary.csv", SummaryRow, report.summary), ("records.csv", TargetRecord, report.records)
+    ):
+        with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+            write_csv([f.name for f in fields(row_type)], map(astuple, rows), fh)
     if args.verbose:
         for row in report.summary:
             print(
@@ -235,14 +259,14 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
-    buf = io.StringIO()
     if args.what == "pagerank":
-        _emit_value_csv(g.labels, pagerank(g), buf)
+        values = pagerank(g)
     else:
         part = _partition_from_json(args.partition, g)
         weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
-        scores = structural_scores(g, part, weights)
-        _emit_value_csv(g.labels, scores.combined, buf)
+        values = structural_scores(g, part, weights).combined
+    buf = io.StringIO()
+    write_csv(("node", "value"), zip(g.labels, values.tolist()), buf)
     _write_output(buf.getvalue(), args.out)
     return 0
 

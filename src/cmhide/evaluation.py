@@ -9,14 +9,12 @@ and independent of worker scheduling.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import IO, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -83,14 +81,18 @@ def f1_score(success_rate: float, nmi_value: float) -> float:
     return 2.0 * success_rate * nmi_value / s
 
 
+def _check_budget_factor(factor: float) -> None:
+    if not 0 < factor < math.inf:
+        raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
+
+
 def budget_for(g: Graph, factor: float, mu_plus_one: bool = False) -> int:
     """Flip budget from the mean-degree-per-edge unit mu = m/n.
 
     At least 1, and at most the n - 1 flips of a row; mu * factor is capped
     at n before it is floored, so no positive finite factor overflows.
     """
-    if not 0 < factor < math.inf:
-        raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
+    _check_budget_factor(factor)
     mu = g.m / g.n + (1.0 if mu_plus_one else 0.0)
     return max(1, min(g.n - 1, math.floor(min(mu * factor, g.n))))
 
@@ -172,8 +174,7 @@ class ExperimentSpec:
         for tau in self.taus:
             replace(self.config, tau=tau)  # HidingConfig rejects a bad threshold
         for factor in self.beta_factors:  # check_types leaves entries unranged
-            if not 0 < factor < math.inf:
-                raise ConfigError(f"budget factor must be positive and finite, got {factor!r}")
+            _check_budget_factor(factor)
 
     @property
     def effective_eval_detector(self) -> DetectorSpec:
@@ -416,45 +417,11 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.method, r.tau, r.beta_factor, r.run, r.target))
     summary = summarise(records, g, spec.runs)
-    meta = {
-        "n": g.n,
-        "m": g.m,
-        "runs": spec.runs,
-        "seed": spec.seed,
-        "detector": asdict(spec.detector),
-        "eval_detector": asdict(spec.effective_eval_detector),
-        "methods": list(spec.methods),
-        "taus": list(spec.taus),
-        "beta_factors": list(spec.beta_factors),
-        "mu_plus_one": spec.mu_plus_one,
-        "wall_seconds": time.perf_counter() - t0,
-    }
+    # the spec as run, less --jobs, which never changes a record
+    meta = {k: v for k, v in asdict(spec).items() if k != "jobs"}
+    meta.update(
+        eval_detector=asdict(spec.effective_eval_detector), n=g.n, m=g.m,
+        wall_seconds=time.perf_counter() - t0,
+    )
     return Report(records=records, summary=summary, meta=meta)
 
-
-def write_csv(row_type: type, rows: Sequence, sink: IO[str]) -> None:
-    """Rows of a dataclass (TargetRecord or SummaryRow), one column per field."""
-    cols = [f.name for f in fields(row_type)]
-    writer = csv.writer(sink)
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, c)) for c in cols])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".12g")
-    if isinstance(value, tuple):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def report_to_json(report: Report) -> str:
-    payload = {
-        "meta": report.meta,
-        "summary": [asdict(row) for row in report.summary],
-        "records": [asdict(r) for r in report.records],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

@@ -10,8 +10,9 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from cmhide import DetectorSpec, Partition, detect, load_fixture
-from cmhide.graph import Graph
+from cmhide import DetectorSpec, HidingConfig, Partition, detect, load_fixture
+from cmhide.gradient import Scorer
+from cmhide.graph import EdgeDelta, Graph
 
 
 @pytest.fixture(scope="session")
@@ -200,6 +201,23 @@ def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     if not sa and not sb:
         return 0.0
     return 2.0 * len(sa & sb) / (len(sa) + len(sb))
+
+
+def fewest_flips(
+    g: Graph, u: int, detector: DetectorSpec, config: HidingConfig, partition: Partition
+) -> int | None:
+    """The fewest toggles of u's row that hide u by `config.hides`, or None within beta.
+
+    Every toggle set of each size is scored through `Scorer`, as an attack
+    scores its rewiring, so the answer is exact for any single-row method.
+    """
+    score = Scorer(g, u, detector, partition)
+    others = [v for v in range(g.n) if v != u]
+    for size in range(1, config.beta + 1):
+        for combo in itertools.combinations(others, size):
+            if config.hides(score((EdgeDelta(u, frozenset(combo)),))[0], size):
+                return size
+    return None
 
 
 def brute_nmi(a, b) -> float:

@@ -30,13 +30,14 @@ from cmhide import (
     run_experiment,
 )
 from cmhide.cli import main as cli_main
+from cmhide.evaluation import ALL_METHODS, attack
 from cmhide.gradient import loss_gradient, loss_value
 from cmhide.graph import Graph
 from cmhide.scoring import betweenness
 
 from conftest import (
-    brute_betweenness, brute_modularity, brute_nmi, brute_pagerank, dice_similarity, modularity,
-    random_graph, set_partitions,
+    brute_betweenness, brute_modularity, brute_nmi, brute_pagerank, dice_similarity,
+    fewest_flips, modularity, random_graph, set_partitions,
 )
 
 ORACLE_TOL = 1e-10
@@ -353,6 +354,60 @@ def test_criterion_8_exhaustive_feasibility(capsys, cliques):
     assert not violations, violations[:5]
     assert successes > 0
     assert elapsed < 120
+
+
+def _oracle_violations(g: Graph, detector: DetectorSpec, beta: int) -> tuple[list[str], int, int]:
+    """Every method on every target with a community, checked against the exact oracle.
+
+    Returns the violations, the targets the oracle can hide within beta, and
+    the targets. A success must fit beta and replay to its similarity; a
+    single-row method (all but roam, which edits a second row) must also spend
+    at least the oracle's fewest flips, so never hide an unhideable target.
+    """
+    part = detect(g, detector)
+    config = get_preset("kar").config(tau=0.5, beta=beta)
+    targets = [u for u in range(g.n) if len(part.community_members(u)) > 1]
+    fewest = {u: fewest_flips(g, u, detector, config, part) for u in targets}
+    violations = []
+    for method in ALL_METHODS:
+        for u in targets:
+            outcome = attack(method, g, u, detector, config, seed=u, partition=part)
+            if not outcome.success:
+                continue
+            replay = g
+            for delta in outcome.deltas:
+                replay = apply_delta(replay, delta)
+            sim = dice_similarity(
+                part.community_members(u) - {u}, detect(replay, detector).community_members(u) - {u}
+            )
+            where = f"{detector.name} n={g.n} {method} u={u}"
+            if outcome.used_budget > beta or sim != pytest.approx(outcome.similarity, abs=1e-12):
+                violations.append(f"{where}: used {outcome.used_budget}, replay sim {sim:.3f}")
+            if method != "roam" and (fewest[u] is None or outcome.used_budget < fewest[u]):
+                violations.append(f"{where}: {outcome.used_budget} flips, oracle {fewest[u]}")
+    return violations, sum(f is not None for f in fewest.values()), len(targets)
+
+
+def test_criterion_11_no_attack_beats_the_exact_oracle(capsys, kar):
+    t0 = time.perf_counter()
+    violations, hideable, targets = _oracle_violations(kar, DetectorSpec("greedy"), 2)
+    kar_counts = (hideable, targets)
+    for n in (9, 11):
+        for seed in range(4):
+            for algo in ("greedy", "louvain", "label_propagation"):
+                found, h, t = _oracle_violations(random_graph(n, 0.5, seed), DetectorSpec(algo), 3)
+                violations += found
+                hideable, targets = hideable + h, targets + t
+    elapsed = time.perf_counter() - t0
+    ok = not violations and kar_counts == (29, 34) and hideable < targets
+    _report(
+        capsys, "criterion 11 (exact fewest-flips oracle)", ok,
+        f"karate {kar_counts[0]} of {kar_counts[1]} hideable at beta 2; {hideable} of "
+        f"{targets} in all; {len(violations)} violations in {elapsed:.1f}s",
+    )
+    assert not violations, violations[:5]
+    assert kar_counts == (29, 34)
+    assert hideable < targets  # some targets are unhideable, so that check bites
 
 
 def strip_wall(csv_text: str, drop: tuple[str, ...]) -> list[tuple[str, ...]]:

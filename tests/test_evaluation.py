@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +25,8 @@ from cmhide import (
     pagerank,
     run_experiment,
 )
-from cmhide.evaluation import (
-    SummaryRow,
-    TargetRecord,
-    report_to_json,
-    sample_targets,
-    summarise,
-    write_csv,
-)
+from cmhide.cli import report_to_json, write_csv
+from cmhide.evaluation import SummaryRow, TargetRecord, sample_targets, summarise
 from cmhide import baselines, detectors, evaluation, gradient, scoring
 from cmhide.graph import Graph
 
@@ -245,6 +239,19 @@ def test_experiment_is_deterministic_across_jobs(cliques, cliques_report, pool_s
     parallel = run_experiment(cliques, replace(spec, jobs=2))
     assert pool_sizes == [2]
     assert parallel.records == report.records
+    parallel.meta.pop("wall_seconds")
+    assert parallel.meta == {k: v for k, v in report.meta.items() if k != "wall_seconds"}
+
+
+def test_report_meta_records_the_spec_it_ran(cliques, cliques_report):
+    spec, report = cliques_report
+    meta = report.meta
+    assert meta["config"] == asdict(spec.config)
+    assert meta["max_targets"] == spec.max_targets
+    assert meta["eval_detector"] == asdict(spec.detector)  # the detector that scored
+    assert (meta["n"], meta["m"], meta["runs"], meta["seed"]) == (cliques.n, cliques.m, 2, 0)
+    assert list(meta["methods"]) == list(spec.methods) and meta["wall_seconds"] > 0.0
+    assert "jobs" not in meta
 
 
 def test_pool_starts_no_more_workers_than_cells_or_cpus(cliques, cliques_report, monkeypatch):
@@ -338,6 +345,7 @@ def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detect
         (run, tau, bf) for run in (0, 1) for tau in (0.3, 0.5) for bf in (0.5, 1.0)
     }
     assert betweenness_calls == [kar]
+    assert report.meta["eval_detector"] == asdict(eval_detector or spec.detector)
     expected = ["greedy"] if eval_detector is None else ["greedy", "louvain"]
     assert sorted(unperturbed_detects) == expected
 
@@ -362,10 +370,10 @@ def test_a_target_alone_under_the_eval_detector_still_gives_records(kar):
 
 
 def test_import_leaves_process_pools_unloaded():
-    # only run_experiment with jobs > 1 needs them
+    # only run_experiment with jobs > 1 needs them, and only the CLI writes CSV
     code = (
         "import sys, cmhide; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'csv') if m in sys.modules])"
     )
     src = str(Path(cmhide.__file__).parents[1])
     out = subprocess.run(
@@ -385,7 +393,7 @@ def test_summary_csv_tells_budget_factors_apart(kar):
     )
     report = run_experiment(kar, spec)
     sink = io.StringIO()
-    write_csv(SummaryRow, report.summary, sink)
+    write_csv([f.name for f in fields(SummaryRow)], map(astuple, report.summary), sink)
     header, *lines = sink.getvalue().splitlines()
     assert header.split(",") == [f.name for f in fields(SummaryRow)]
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
@@ -400,7 +408,7 @@ def test_summary_csv_tells_budget_factors_apart(kar):
 def test_records_csv_round_trips(cliques_report):
     _, report = cliques_report
     sink = io.StringIO()
-    write_csv(TargetRecord, report.records, sink)
+    write_csv([f.name for f in fields(TargetRecord)], map(astuple, report.records), sink)
     lines = sink.getvalue().strip().splitlines()
     assert lines[0].startswith("run,method,tau,")
     assert len(lines) == len(report.records) + 1
