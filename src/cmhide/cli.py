@@ -3,10 +3,10 @@
 Machine output is JSON (or CSV for tabular data) on stdout or --out; this
 module formats all of it, with one JSON dump and one CSV cell rule. --verbose
 adds a human-readable digest on stderr. Exit codes: 0 success, 1 hiding
-failed under --strict, 2 usage or config errors. `hide` takes its
-optimiser settings from a built-in --preset, then a --config file that
-beats it, as a benchmark spec takes them from its `preset` and `config`;
-tau and beta come from --tau and --beta alone.
+failed under --strict, 2 usage or config errors. Optimiser settings come
+from a built-in preset, then a config object that beats it: `hide` reads
+--preset and --config, a benchmark spec its `preset` and `config`, and
+`analyze scores` a --config file; tau and beta come from --tau and --beta.
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ from .evaluation import (
     run_experiment,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
-from .gradient import HidingConfig, HidingOutcome
+from .gradient import CONFIG_KEYS, HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
 from .presets import PRESET_NAMES, get_preset
-from .schema import fits, from_json, load_json, read_text
-from .scoring import DEFAULT_WEIGHTS, check_weights, pagerank, structural_scores
-
-# one schema for a --config file and a spec's `config`: tau and beta come from
-# the flags or the grid, exhaust_budget from the method name
-_CONFIG_KEYS = frozenset(f.name for f in fields(HidingConfig)) - {"tau", "beta", "exhaust_budget"}
+from .schema import fits, from_json, load_json, read_json, read_text
+from .scoring import pagerank, structural_scores
 
 # a spec's `jobs` is left to --jobs
 _SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.name != "jobs")}
@@ -76,12 +72,11 @@ def _detector_from_json(value, key: str) -> DetectorSpec:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", "utf-8")
+        Path(out).write_text(text, "utf-8")
 
 
 def _json(payload) -> str:
@@ -124,37 +119,37 @@ def _partition_json(algo: str, seed: int, g: Graph, part: Partition) -> str:
 
 def _partition_from_json(path: str, g: Graph) -> Partition:
     def build(obj: dict) -> Partition:
+        listed = obj["communities"]
+        if not (isinstance(listed, list) and all(isinstance(c, list) for c in listed)
+                and all(isinstance(v, str) for c in listed for v in c)):
+            raise ConfigError("communities must be an array of arrays of node label strings")
         try:
-            comms = [frozenset(map(g.id_of, comm)) for comm in obj["communities"]]
+            comms = [frozenset(map(g.id_of, comm)) for comm in listed]
             uncovered = g.n - len(frozenset().union(*comms))
             if not uncovered:
                 return Partition.from_communities(comms)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"not a partition of this graph: {exc.args[0]}") from None
         raise ConfigError(f"leaves {uncovered} node(s) of the graph uncovered")
 
     return load_json(path, "partition", build, ("algo", "seed", "communities"), ("communities",))
 
 
-def _parse_weights(text: str) -> tuple[float, ...]:
-    """Comma-separated property weights, checked here so that errors quote the text.
+def _hiding_config(preset: str | None, obj, where: str) -> HidingConfig:
+    """A preset's settings, or the defaults, with a config object's CONFIG_KEYS over them."""
+    base = get_preset(preset).config() if preset is not None else HidingConfig()
+    return from_json(obj, "config", where, lambda c: replace(base, **c), CONFIG_KEYS)
 
-    They are returned as typed: `structural_scores` scales them.
-    """
-    try:
-        weights = tuple(float(x) for x in text.split(","))
-        check_weights(weights)
-    except ValueError as exc:  # from float(), or the ConfigError of check_weights
-        raise ConfigError(f"bad --weights {text!r}: {exc}") from None
-    return weights
+
+def _config_file(path: str | None, preset: str | None = None) -> HidingConfig:
+    """_hiding_config on the object of a --config file, if one is given."""
+    obj = {} if path is None else read_json(path, "config")
+    return _hiding_config(preset, obj, f"config file {path!r}")
 
 
 def _config_from_args(args) -> HidingConfig:
-    """The preset, then the --config file, which beats it, then --tau and --beta."""
-    config = get_preset(args.preset).config() if args.preset is not None else HidingConfig()
-    if args.config is not None:
-        base = config
-        config = load_json(args.config, "config", lambda obj: replace(base, **obj), _CONFIG_KEYS)
+    """The preset and the --config file, then --tau and --beta."""
+    config = _config_file(args.config, args.preset)
     criterion = {"tau": args.tau, "beta": args.beta}
     return replace(config, **{k: v for k, v in criterion.items() if v is not None})
 
@@ -166,7 +161,7 @@ def _outcome_json(g: Graph, method: str, outcome: HidingOutcome, config: HidingC
         for a, b in delta.edges():
             pair = sorted((g.label_of(a), g.label_of(b)))
             (removed if g.has_edge(a, b) else added).append(pair)
-    payload = {
+    return _json({
         "method": method,
         "target": g.label_of(outcome.target),
         "tau": config.tau,
@@ -180,8 +175,7 @@ def _outcome_json(g: Graph, method: str, outcome: HidingOutcome, config: HidingC
         "detections": outcome.detections,
         "restarts": outcome.restarts,
         "wall_ms": outcome.wall_seconds * 1000.0,
-    }
-    return _json(payload)
+    })
 
 
 def _cmd_detect(args) -> int:
@@ -221,17 +215,14 @@ def _experiment_from_json(obj: dict) -> tuple[Graph, ExperimentSpec]:
         if key in obj and not fits(str, obj[key]):
             raise ConfigError(f"{key!r} must be a string, got {obj[key]!r}")
     g = _load_graph(obj.pop("graph"))
-    preset = get_preset(obj.pop("preset")) if "preset" in obj else None
-    base = preset.config() if preset else HidingConfig()
-    obj["config"] = from_json(
-        obj.get("config", {}), "config", "'config'", lambda c: replace(base, **c), _CONFIG_KEYS
-    )
+    preset = obj.pop("preset", None)
+    obj["config"] = _hiding_config(preset, obj.get("config", {}), "'config'")
     if "detector" in obj:
         obj["detector"] = _detector_from_json(obj["detector"], "detector")
     if obj.get("eval_detector") is not None:  # null: score with the attack's detector
         obj["eval_detector"] = _detector_from_json(obj["eval_detector"], "eval_detector")
-    if preset:
-        obj.setdefault("mu_plus_one", preset.mu_plus_one)
+    if preset is not None:
+        obj.setdefault("mu_plus_one", get_preset(preset).mu_plus_one)
     return g, ExperimentSpec(**obj)
 
 
@@ -263,8 +254,7 @@ def _cmd_analyze(args) -> int:
         values = pagerank(g)
     else:
         part = _partition_from_json(args.partition, g)
-        weights = _parse_weights(args.weights) if args.weights else DEFAULT_WEIGHTS
-        values = structural_scores(g, part, weights).combined
+        values = structural_scores(g, part, _config_file(args.config).weights).combined
     buf = io.StringIO()
     write_csv(("node", "value"), zip(g.labels, values.tolist()), buf)
     _write_output(buf.getvalue(), args.out)
@@ -310,21 +300,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_benchmark)
 
     p_an = sub.add_parser("analyze", help="per-node structural values as CSV")
-    p_an.add_argument("what", choices=("pagerank", "scores"))
-    p_an.add_argument("--graph", required=True, help="edge-list file or fixture name")
-    p_an.add_argument("--partition", help="partition JSON (required for scores)")
-    p_an.add_argument("--weights", help="four comma-separated structural weights")
-    p_an.add_argument("--out", help="write CSV here instead of stdout")
-    p_an.set_defaults(func=_cmd_analyze)
+    tables = p_an.add_subparsers(dest="what", required=True)
+    p_pagerank = tables.add_parser("pagerank", help="PageRank of every node")
+    p_scores = tables.add_parser("scores", help="combined structural score of every node")
+    p_scores.add_argument("--partition", required=True, help="partition JSON file")
+    p_scores.add_argument("--config", help="JSON file whose weights mix the scores")
+    for p_table in (p_pagerank, p_scores):
+        p_table.add_argument("--graph", required=True, help="edge-list file or fixture name")
+        p_table.add_argument("--out", help="write CSV here instead of stdout")
+        p_table.set_defaults(func=_cmd_analyze)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "analyze" and args.what == "scores" and not args.partition:
-            parser.error("analyze scores requires --partition")
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CmhideError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"cmhide: error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import BASELINE_NAMES, run_baseline
 from .detectors import DetectorSpec, Partition, detect
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, Scorer, hide
+from .gradient import CONFIG_KEYS, HidingConfig, HidingOutcome, Scorer, hide
 from .graph import Graph
 from .schema import check_types
 from .scoring import StructuralScores, pagerank, structural_scores, top_ranked
@@ -238,10 +238,8 @@ def attack(
         projected = method == "gradient_projected"
         if config.exhaust_budget != projected:  # a new config costs a validation pass
             config = replace(config, exhaust_budget=projected)
-        return hide(g, u, detector, config, seed=seed, scores=scores, partition=partition)
-    return run_baseline(
-        method, g, u, detector, config, seed=seed, partition=partition, scores=scores
-    )
+        return hide(g, u, detector, config, seed, partition, scores)
+    return run_baseline(method, g, u, detector, config, seed, partition, scores)
 
 
 def _counterparts(outcome: HidingOutcome) -> tuple[int, ...]:
@@ -417,9 +415,11 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.method, r.tau, r.beta_factor, r.run, r.target))
     summary = summarise(records, g, spec.runs)
-    # the spec as run, less --jobs, which never changes a record
+    # the spec as run, less --jobs, which never changes a record, and less the
+    # config's tau, beta and exhaust_budget, which each cell and method replace
     meta = {k: v for k, v in asdict(spec).items() if k != "jobs"}
     meta.update(
+        config={k: meta["config"][k] for k in CONFIG_KEYS},
         eval_detector=asdict(spec.effective_eval_detector), n=g.n, m=g.m,
         wall_seconds=time.perf_counter() - t0,
     )

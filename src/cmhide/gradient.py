@@ -14,7 +14,7 @@ The settings a caller tunes live in HidingConfig; the rest are fixed below.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -70,6 +70,12 @@ class HidingConfig:
     def hides(self, similarity: float, used: int) -> bool:
         """The one success rule of every attack: similarity at most tau, at most beta flips."""
         return similarity <= self.tau and used <= self.beta
+
+
+# the keys a config object may set, and the config that report.json records
+CONFIG_KEYS = tuple(
+    f.name for f in fields(HidingConfig) if f.name not in {"tau", "beta", "exhaust_budget"}
+)
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,8 @@ def hide(
     detector: DetectorSpec,
     config: HidingConfig,
     seed: int = 0,
-    scores: StructuralScores | None = None,
     partition: Partition | None = None,
+    scores: StructuralScores | None = None,
 ) -> HidingOutcome:
     """Search for a hiding rewiring of node u's row within the budget.
 
@@ -274,11 +280,11 @@ def hide_projected(
     detector: DetectorSpec,
     config: HidingConfig,
     seed: int = 0,
-    scores: StructuralScores | None = None,
     partition: Partition | None = None,
+    scores: StructuralScores | None = None,
 ) -> HidingOutcome:
     """Shorthand for hide() with config.exhaust_budget switched on."""
-    return hide(g, u, detector, replace(config, exhaust_budget=True), seed, scores, partition)
+    return hide(g, u, detector, replace(config, exhaust_budget=True), seed, partition, scores)
 
 
 def project_to_budget(

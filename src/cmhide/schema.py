@@ -1,7 +1,7 @@
 """The field types of the settings dataclasses, and the JSON files that fill them.
 
 HidingConfig, ExperimentSpec and DetectorSpec run `check_types` on
-construction; `load_json` reads --config, --spec and --partition files.
+construction; `read_json` reads --config, --spec and --partition files.
 """
 
 from __future__ import annotations
@@ -93,11 +93,14 @@ def from_json(value, what: str, where: str, build: Callable, keys: Collection[st
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def load_json(path: str, what: str, build: Callable, keys: Collection[str], required=()):
-    """`from_json` on the object in a `what` file: the one reader of JSON input files."""
-    where = f"{what} file {path!r}"
+def read_json(path: str, what: str):
+    """The JSON value in a `what` file: the one reader of JSON input files."""
     try:
-        value = json.loads(read_text(path, f"{what} file"))
+        return json.loads(read_text(path, f"{what} file"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
-    return from_json(value, what, where, build, keys, required)
+        raise ConfigError(f"{what} file {path!r} is not valid JSON: {exc}") from None
+
+
+def load_json(path: str, what: str, build: Callable, keys: Collection[str], required=()):
+    """`from_json` on the object in a `what` file."""
+    return from_json(read_json(path, what), what, f"{what} file {path!r}", build, keys, required)

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import cmhide
-from cmhide import ALL_METHODS, DetectorSpec, get_preset, load_fixture, pagerank
+from cmhide import (
+    ALL_METHODS, DetectorSpec, detect, get_preset, load_fixture, pagerank, structural_scores,
+)
 from cmhide.cli import main
 from cmhide.evaluation import attack
 
@@ -206,8 +208,8 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     assert "unknown config keys" in err
 
 
-def _json_file(tmp_path, obj) -> str:
-    path = tmp_path / "input.json"
+def _json_file(tmp_path, obj, name="input.json") -> str:
+    path = tmp_path / name
     path.write_text(json.dumps(obj), "utf-8")
     return str(path)
 
@@ -316,18 +318,19 @@ BAD_INPUTS = {
         "benchmark", "--spec", _json_file(tmp, {"graph": "kar", "config": {"squared_loss": True}}),
         "--out", str(tmp / "out"), "--jobs", "1",
     ),
-    # --weights is a flag of analyze scores alone
+    # analyze scores reads its weights from the config object hide reads
     **{
-        f"scores weights {name}": lambda tmp, text=text: (
-            "analyze", "scores", "--graph", "kar", "--weights", text,
+        f"scores weights {name}": lambda tmp, weights=weights: (
+            "analyze", "scores", "--graph", "kar",
+            "--config", _json_file(tmp, {"weights": weights}, "config.json"),
             "--partition", _json_file(tmp, {"communities": [[str(v) for v in range(34)]]}),
         )
-        for name, text in {
-            "nan": "nan,1,1,1",
-            "inf": "inf,1,1,1",
-            "sum overflows": "1e308,1e308,0,0",
-            "sum 0": "0,0,0,0",
-            "negative": "1,-1,1,1",
+        for name, weights in {
+            "nan": [float("nan"), 1, 1, 1],
+            "inf": [float("inf"), 1, 1, 1],
+            "sum overflows": [1e308, 1e308, 0, 0],
+            "sum 0": [0, 0, 0, 0],
+            "negative": [1, -1, 1, 1],
         }.items()
     },
     "graph not utf-8": lambda tmp: ("detect", "--graph", _bytes_file(tmp, LATIN1)),
@@ -507,8 +510,6 @@ def test_bad_input_exits_2_with_an_error_line(capsys, tmp_path, monkeypatch, cas
         assert "'detector'" in line
     if case in NOT_A_STRING:
         assert NOT_A_STRING[case] in line and "must be a string" in line
-    if "--weights" in argv:  # the message quotes what was typed
-        assert repr(argv[argv.index("--weights") + 1]) in err
     if case in UNREADABLE_FILES:  # and names the file
         assert str(tmp_path) in err
     if "--spec" in argv:  # a spec may name other files; the error names the spec
@@ -555,6 +556,15 @@ BAD_PARTITIONS = {
     "unknown label": (
         [KAR_NODES + ["zz"]], "not a partition of this graph: unknown node label 'zz'",
     ),
+    # a string is no community: "10" would otherwise be read as nodes 1 and 0
+    **{
+        case: (communities, "communities must be an array of arrays of node label strings")
+        for case, communities in {
+            "communities a string": "abc",
+            "community a string": [["a", "b"], "c"],
+            "label a number": [list(range(34))],
+        }.items()
+    },
 }
 
 
@@ -580,10 +590,14 @@ def test_bad_partition_file_exits_2_naming_it(capsys, tmp_path, case):
         HIDE_9 + ("--lam", "1"),
         HIDE_9 + ("--max-iter", "3"),
         HIDE_9 + ("--weights", "33,20,21,24"),
+        # each analyze table takes only the flags it reads
+        ("analyze", "pagerank", "--graph", "kar", "--partition", "p.json"),
+        ("analyze", "scores", "--graph", "kar", "--partition", "p.json", "--weights", "1,1,1,1"),
     ],
     ids=[
         "detect labelprop", "hide labelprop", "detect resolution", "hide resolution",
         "benchmark seed", "hide eta", "hide lam", "hide max-iter", "hide weights",
+        "pagerank partition", "scores weights",
     ],
 )
 def test_removed_flags_are_usage_errors(capsys, argv):
@@ -621,23 +635,33 @@ def test_analyze_scores_needs_partition(capsys):
     assert exc.value.code == 2
 
 
-def test_analyze_scores_renormalises_weights(capsys, tmp_path):
+def _analyze_scores(capsys, tmp_path, weights) -> list[float]:
+    """analyze scores on karate's greedy partition, mixed by a config file's weights."""
     part = tmp_path / "part.json"
     assert run_cli(capsys, "detect", "--graph", "kar", "--out", str(part))[0] == 0
+    rc, out, err = run_cli(
+        capsys, "analyze", "scores", "--graph", "kar", "--partition", str(part),
+        "--config", _json_file(tmp_path, {"weights": weights}),
+    )
+    assert rc == 0, err
+    rows = out.strip().splitlines()[1:]
+    return [float(r.split(",")[1]) for r in rows]
 
-    def scores(weight_text):
-        rc, out, _ = run_cli(
-            capsys, "analyze", "scores", "--graph", "kar",
-            "--partition", str(part), "--weights", weight_text,
-        )
-        assert rc == 0
-        rows = out.strip().splitlines()[1:]
-        return [float(r.split(",")[1]) for r in rows]
 
-    plain = scores("0.33,0.20,0.21,0.24")
-    scaled = scores("33,20,21,24")  # same proportions, different scale
+def test_analyze_scores_renormalises_weights(capsys, tmp_path):
+    plain = _analyze_scores(capsys, tmp_path, [0.33, 0.20, 0.21, 0.24])
+    scaled = _analyze_scores(capsys, tmp_path, [33, 20, 21, 24])  # same proportions, other scale
     assert plain == pytest.approx(scaled, abs=1e-12)
     assert all(0.0 <= v <= 1.0 for v in plain)
+
+
+def test_analyze_scores_mixes_by_the_config_weights(capsys, tmp_path):
+    # the kar preset's weights, as a --config file of hide or a spec's config holds them
+    weights = get_preset("kar").weights
+    g = load_fixture("kar")
+    combined = structural_scores(g, detect(g, DetectorSpec("greedy")), weights).combined
+    values = _analyze_scores(capsys, tmp_path, list(weights))
+    assert values == pytest.approx(combined.tolist(), abs=1e-12)
 
 
 def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):

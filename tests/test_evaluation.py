@@ -28,6 +28,7 @@ from cmhide import (
 from cmhide.cli import report_to_json, write_csv
 from cmhide.evaluation import SummaryRow, TargetRecord, sample_targets, summarise
 from cmhide import baselines, detectors, evaluation, gradient, scoring
+from cmhide.gradient import CONFIG_KEYS
 from cmhide.graph import Graph
 
 from conftest import brute_nmi
@@ -246,7 +247,9 @@ def test_experiment_is_deterministic_across_jobs(cliques, cliques_report, pool_s
 def test_report_meta_records_the_spec_it_ran(cliques, cliques_report):
     spec, report = cliques_report
     meta = report.meta
-    assert meta["config"] == asdict(spec.config)
+    # the settings a config may set; each cell and method set tau, beta and exhaust_budget
+    assert meta["config"] == {k: asdict(spec.config)[k] for k in CONFIG_KEYS}
+    assert not {"tau", "beta", "exhaust_budget"} & set(meta["config"])
     assert meta["max_targets"] == spec.max_targets
     assert meta["eval_detector"] == asdict(spec.detector)  # the detector that scored
     assert (meta["n"], meta["m"], meta["runs"], meta["seed"]) == (cliques.n, cliques.m, 2, 0)
