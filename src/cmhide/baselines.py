@@ -8,18 +8,16 @@ fully deterministic.
 
 A baseline is a plan: given the graph, the target, its community, the
 budget, a seed and the graph's structural scores (or None), it returns the
-row deltas to apply. `run_baseline` scores them with the attack's `Scorer`.
+row deltas to apply. `run_baseline` proposes them to the attack loop as one row.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
 from .detectors import DetectorSpec, Partition, detect  # detect: perfbench reads it here
 from .errors import ConfigError
-from .gradient import HidingConfig, HidingOutcome, _outcome, _prepare_target
+from .gradient import HidingConfig, HidingOutcome, _drive
 from .graph import EdgeDelta, Graph
 from .scoring import StructuralScores, betweenness, top_ranked
 
@@ -133,13 +131,13 @@ def run_baseline(
     partition: Partition | None = None,
     scores: StructuralScores | None = None,
 ) -> HidingOutcome:
-    """Apply the named baseline's rewiring to node u and score it.
+    """Propose the named baseline's plan for node u to the attack loop as its one row.
 
     The rewired graph is detected once, unless the plan toggles nothing,
-    and `HidingConfig.hides` judges the outcome as it does every attack's.
-    A plan gets at most the n - 1 flips of a row as its budget, so `random`
-    draws no more than that. `seed` drives `random`. `scores`, the
-    structural scores of g, spare `centrality` its own betweenness pass.
+    and the loop keeps the plan whatever it scores. A plan gets at most
+    the n - 1 flips of a row as its budget, so `random` draws no more than
+    that. `seed` drives `random`. `scores`, the structural scores of g,
+    spare `centrality` its own betweenness pass.
     """
     try:
         plan = _PLANS[name]
@@ -147,7 +145,6 @@ def run_baseline(
         raise ConfigError(
             f"unknown baseline {name!r}; available: {', '.join(BASELINE_NAMES)}"
         ) from None
-    t_start = time.perf_counter()
-    score = _prepare_target(g, u, detector, partition, seed)
-    deltas = plan(g, u, score.reference | {u}, min(config.beta, g.n - 1), seed, scores)
-    return _outcome(score, config, deltas, t_start)
+    return _drive(g, u, detector, config, seed, partition, lambda score: [
+        (plan(g, u, score.reference | {u}, min(config.beta, g.n - 1), seed, scores), False)
+    ])

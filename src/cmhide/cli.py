@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--seed", type=int, default=0)
     p_detect.add_argument("--out", help="write partition JSON here instead of stdout")
     p_detect.add_argument("--verbose", action="store_true")
-    p_detect.set_defaults(func=_cmd_detect)
+    p_detect.set_defaults(func=_cmd_detect, parser=p_detect)
 
     p_hide = sub.add_parser("hide", help="rewire one node's edges until it changes community")
     p_hide.add_argument("--graph", required=True, help="edge-list file or fixture name")
@@ -290,14 +290,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hide.add_argument("--strict", action="store_true", help="exit 1 when hiding fails")
     p_hide.add_argument("--out", help="write outcome JSON here instead of stdout")
     p_hide.add_argument("--verbose", action="store_true")
-    p_hide.set_defaults(func=_cmd_hide)
+    p_hide.set_defaults(func=_cmd_hide, parser=p_hide)
 
     p_bench = sub.add_parser("benchmark", help="sweep methods over a tau/budget grid")
     p_bench.add_argument("--spec", required=True, help="experiment spec JSON file")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_bench.add_argument("--verbose", action="store_true")
-    p_bench.set_defaults(func=_cmd_benchmark)
+    p_bench.set_defaults(func=_cmd_benchmark, parser=p_bench)
 
     p_an = sub.add_parser("analyze", help="per-node structural values as CSV")
     tables = p_an.add_subparsers(dest="what", required=True)
@@ -308,13 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for p_table in (p_pagerank, p_scores):
         p_table.add_argument("--graph", required=True, help="edge-list file or fixture name")
         p_table.add_argument("--out", help="write CSV here instead of stdout")
-        p_table.set_defaults(func=_cmd_analyze)
+        p_table.set_defaults(func=_cmd_analyze, parser=p_table)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # reported by the parser of the subcommand that ran, with its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (CmhideError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"cmhide: error: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ vector p_hat = tanh(theta). Adam steps the unconstrained theta against a
 smooth loss that pulls the row toward the promising-actions target while
 penalising large changes; after every step `flipped` reads the edge flips
 off p_hat. `hide` zeroes the gradient at the target's own entry, so that
-entry never flips. With exhaust_budget set, a projection step then keeps
-applying the most promising flips until the whole budget is spent.
+entry never flips. Every method runs through `_drive`, the one attack
+loop; with exhaust_budget, a projection step ends it and spends the budget.
 
 The settings a caller tunes live in HidingConfig; the rest are fixed below.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from itertools import count
 
 import numpy as np
 
@@ -181,10 +182,18 @@ class Scorer:
         return hit
 
 
-def _prepare_target(
-    g: Graph, u: int, detector: DetectorSpec, partition: Partition | None, seed: int
-) -> Scorer:
-    """Prelude shared by every attack: checks the seed and the target, returns its scorer."""
+def _drive(
+    g: Graph, u: int, detector: DetectorSpec, config: HidingConfig, seed: int,
+    partition: Partition | None, propose, finish=None,
+) -> HidingOutcome:
+    """The one attack loop: scores the rows a method proposes, keeps the best and stops.
+
+    After the seed and target checks, `propose(score)` yields (deltas, truncated)
+    pairs, taken only while the kept row fails `config.hides` and fewer than
+    max_iter rows followed the first. The first row is kept whatever it scores, a
+    later one only when strictly lower; `finish(kept)` may replace the kept deltas.
+    """
+    t_start = time.perf_counter()
     if not fits(int, seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= u < g.n:
@@ -194,20 +203,22 @@ def _prepare_target(
         raise SingletonCommunityError(
             f"node {g.label_of(u)!r} forms a singleton community; nothing to hide"
         )
-    return score
-
-
-def _outcome(
-    score: Scorer, config: HidingConfig, deltas: tuple[EdgeDelta, ...], t_start: float,
-    **counts: int,
-) -> HidingOutcome:
-    """Epilogue shared by every attack: scores the final deltas and counts every call."""
-    similarity, graph, partition = score(deltas)
-    used = sum(d.size for d in deltas)
+    best = (np.inf,)  # every similarity is below inf, so the first row is kept
+    restarts = 0
+    for iterations, (deltas, truncated) in enumerate(propose(score)):
+        restarts += truncated
+        if (scored := score(deltas))[0] < best[0]:
+            kept, best, used = deltas, scored, sum(d.size for d in deltas)
+        if config.hides(best[0], used) or iterations == config.max_iter:
+            break
+    if finish is not None:
+        kept = finish(kept)
+        best, used = score(kept), sum(d.size for d in kept)
+    similarity, graph, partition = best
     return HidingOutcome(
-        target=score.u, success=config.hides(similarity, used), similarity=similarity,
-        deltas=deltas, used_budget=used, graph=graph, partition=partition,
-        detections=score.calls, wall_seconds=time.perf_counter() - t_start, **counts,
+        target=u, success=config.hides(similarity, used), similarity=similarity, deltas=kept,
+        used_budget=used, graph=graph, partition=partition, iterations=iterations,
+        detections=score.calls, restarts=restarts, wall_seconds=time.perf_counter() - t_start,
     )
 
 
@@ -222,56 +233,53 @@ def hide(
 ) -> HidingOutcome:
     """Search for a hiding rewiring of node u's row within the budget.
 
-    Every row the search proposes within budget is scored by the attack's
-    `Scorer`. The search stops at the first row that `config.hides` and
-    returns the best row scored. Adam steps theta, with p_hat = tanh(theta);
-    the loss gradient is taken with respect to p_hat, without the chain
-    factor 1 - p_hat**2, and zeroed at u, so theta[u] stays 0 and u never
-    flips. A step proposes the flips `flipped` reads off p_hat; one that
-    proposes more than beta flips keeps the beta of them ranked highest by
-    |p_hat| * |grad|, ties to the smaller id, and Adam goes on from the
-    theta it moved. With config.exhaust_budget the search ends with
-    project_to_budget, which spends whatever budget is left. `seed` draws
-    the one starting point.
+    The search proposes rows to the attack loop `_drive`, the unchanged row
+    first, then one row per Adam step. Adam steps theta, with p_hat =
+    tanh(theta); the loss gradient is taken with respect to p_hat, without
+    the chain factor 1 - p_hat**2, and zeroed at u, so theta[u] stays 0 and
+    u never flips. A step proposes the flips `flipped` reads off p_hat; one
+    that proposes more than beta flips is truncated to the beta of them
+    ranked highest by |p_hat| * |grad|, ties to the smaller id, and Adam goes
+    on from the theta it moved. With config.exhaust_budget the loop ends with
+    project_to_budget, which spends whatever budget the kept row left.
+    `seed` draws the one starting point.
     """
-    t_start = time.perf_counter()
     n = g.n
-    score = _prepare_target(g, u, detector, partition, seed)
-    if scores is None:
-        scores = structural_scores(g, score.partition, config.weights)
-    target_vec = promising_actions(u, score.partition, scores)
-    row = g.row(u).astype(float)
-    best, best_sim = EdgeDelta(u), score(())[0]
+    row = p_hat = g_acc = None  # the search's state, which the projection reads
 
-    theta = np.arctanh(np.random.default_rng(seed).uniform(-0.5, 0.5, n))
-    theta[u] = 0.0
-    p_hat, m, v = np.tanh(theta), np.zeros(n), np.zeros(n)
-    g_acc = np.zeros(n)  # GAMMA-discounted gradient sum
-    restarts = iterations = 0
-    # the first row that hides u is scored lower than every row before it
-    while not config.hides(best_sim, best.size) and iterations < config.max_iter:
-        iterations += 1
-        grad = loss_gradient(p_hat, target_vec, row, config.lam)
-        grad[u] = 0.0
-        g_acc = GAMMA * g_acc + grad
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**iterations)
-        v_hat = v / (1.0 - ADAM_BETA2**iterations)
-        theta = theta - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p_hat = np.tanh(theta)
-        flips = flipped(row, p_hat)
-        if len(flips) > config.beta:
-            restarts += 1
-            flips = top_ranked(np.abs(p_hat * grad), flips, config.beta)
-        delta = EdgeDelta(u, flips)
-        if (similarity := score((delta,))[0]) < best_sim:
-            best, best_sim = delta, similarity
+    def propose(score: Scorer):
+        nonlocal row, p_hat, g_acc
+        s = structural_scores(g, score.partition, config.weights) if scores is None else scores
+        target_vec = promising_actions(u, score.partition, s)
+        row = g.row(u).astype(float)
+        yield (EdgeDelta(u),), False
+        theta = np.arctanh(np.random.default_rng(seed).uniform(-0.5, 0.5, n))
+        theta[u] = 0.0
+        p_hat, m, v = np.tanh(theta), np.zeros(n), np.zeros(n)
+        g_acc = np.zeros(n)  # GAMMA-discounted gradient sum
+        for t in count(1):
+            grad = loss_gradient(p_hat, target_vec, row, config.lam)
+            grad[u] = 0.0
+            g_acc = GAMMA * g_acc + grad
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            theta = theta - config.eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p_hat = np.tanh(theta)
+            flips = flipped(row, p_hat)
+            truncated = len(flips) > config.beta
+            if truncated:
+                flips = top_ranked(np.abs(p_hat * grad), flips, config.beta)
+            yield (EdgeDelta(u, flips),), truncated
 
-    if config.exhaust_budget:
+    def finish(kept: tuple[EdgeDelta, ...]) -> tuple[EdgeDelta, ...]:
         g_bar = (1.0 - GAMMA) * g_acc
-        best = EdgeDelta(u, project_to_budget(row, u, p_hat, g_bar, best.toggled, config))
-    return _outcome(score, config, (best,), t_start, iterations=iterations, restarts=restarts)
+        return (EdgeDelta(u, project_to_budget(row, u, p_hat, g_bar, kept[0].toggled, config)),)
+
+    return _drive(
+        g, u, detector, config, seed, partition, propose, finish if config.exhaust_budget else None
+    )
 
 
 def hide_projected(

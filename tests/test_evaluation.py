@@ -523,3 +523,42 @@ def test_method_name_alone_picks_projection(kar, greedy):
     assert projected == evaluation.attack("gradient_projected", kar, u, greedy, projecting, seed=7)
     assert projected == gradient.hide_projected(kar, u, greedy, config, seed=7)
     assert projected.used_budget == 3 > plain.used_budget
+
+
+def test_each_attack_enters_one_entry_point_as_the_tracer_sees_it(kar, greedy, monkeypatch):
+    """What perfbench's tracer counts on: every binding of hide, run_baseline and
+    project_to_budget is wrapped, and each attack reaches exactly one entry point,
+    the right one, which calls neither the other nor a projection it was not asked for."""
+    calls, depth = [], 0
+
+    def recorder(name, fn):
+        def wrapper(*args, **kwargs):
+            nonlocal depth
+            calls.append((name, depth))
+            depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cmhide"]
+    wrappers = {}
+    for fn in (gradient.hide, baselines.run_baseline, gradient.project_to_budget):
+        wrappers[fn.__name__] = recorder(fn.__name__, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrappers[fn.__name__])
+    assert evaluation.hide is wrappers["hide"]
+    assert evaluation.run_baseline is wrappers["run_baseline"]
+    assert gradient.project_to_budget is wrappers["project_to_budget"]
+    config = get_preset("kar").config(tau=0.5, beta=3)
+    for method in ALL_METHODS:
+        calls.clear()
+        evaluation.attack(method, kar, kar.id_of("9"), greedy, config, seed=7)
+        expected = {
+            "gradient": [("hide", 0)],
+            "gradient_projected": [("hide", 0), ("project_to_budget", 1)],
+        }.get(method, [("run_baseline", 0)])
+        assert calls == expected, method

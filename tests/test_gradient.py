@@ -511,7 +511,14 @@ def test_hide_detects_each_row_once_and_counts_every_call(kar, monkeypatch):
         calls.append(g)
         return detect(g, spec)
 
+    steps = []
+
+    def counting_gradient(*args):
+        steps.append(None)
+        return loss_gradient(*args)
+
     monkeypatch.setattr(gradient, "detect", counting_detect)
+    monkeypatch.setattr(gradient, "loss_gradient", counting_gradient)
     u = kar.id_of("9")
     kar_config = get_preset("kar").config(tau=0.5, beta=3)
     configs = [
@@ -525,11 +532,13 @@ def test_hide_detects_each_row_once_and_counts_every_call(kar, monkeypatch):
             for exhaust in (False, True):
                 for seed in (3, 7):
                     calls.clear()
+                    steps.clear()
                     outcome = hide(
                         kar, u, DetectorSpec(algo), replace(config, exhaust_budget=exhaust),
                         seed=seed,
                     )
                     assert outcome.detections == len(calls)
+                    assert len(steps) == outcome.iterations  # no step after the row that hides
                     assert outcome.success == config.hides(outcome.similarity, outcome.used_budget)
                     distinct = {frozenset(g.edges()) for g in calls}
                     assert len(distinct) == len(calls)
