@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -176,10 +177,6 @@ class ExperimentSpec:
         for factor in self.beta_factors:  # check_types leaves entries unranged
             _check_budget_factor(factor)
 
-    @property
-    def effective_eval_detector(self) -> DetectorSpec:
-        return self.eval_detector if self.eval_detector is not None else self.detector
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -251,49 +248,53 @@ def _counterparts(outcome: HidingOutcome) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class _Invariants:
-    """What every cell of one experiment computes alike from the input graph."""
+    """What every cell of one experiment shares, each run's targets included."""
 
+    eval_detector: DetectorSpec
     part_attack: Partition
     part_eval: Partition
     labels_before: np.ndarray
     scores: StructuralScores
+    targets: tuple[tuple[int, ...], ...]  # indexed by run
 
 
 def _invariants(g: Graph, spec: ExperimentSpec) -> _Invariants:
     part_attack = detect(g, spec.detector)
-    eval_det = spec.effective_eval_detector
+    eval_det = spec.eval_detector or spec.detector
     part_eval = part_attack if eval_det == spec.detector else detect(g, eval_det)
     return _Invariants(
+        eval_detector=eval_det,
         part_attack=part_attack,
         part_eval=part_eval,
         labels_before=part_eval.membership(g.n),
         scores=structural_scores(g, part_attack, spec.config.weights),
+        targets=tuple(
+            sample_targets(part_attack, derive_seed(spec.seed, "targets", run), spec.max_targets)
+            for run in range(spec.runs)
+        ),
     )
 
 
 def _run_cell(
-    g: Graph, spec: ExperimentSpec, inv: _Invariants, run: int, tau: float,
-    beta_factor: float,
+    g: Graph, spec: ExperimentSpec, inv: _Invariants, cell: tuple[int, float, float]
 ) -> list[TargetRecord]:
+    run, tau, beta_factor = cell
     beta = budget_for(g, beta_factor, spec.mu_plus_one)
     cell_config = replace(spec.config, tau=tau, beta=beta)
-    eval_det = spec.effective_eval_detector
-    targets = sample_targets(
-        inv.part_attack, derive_seed(spec.seed, "targets", run), spec.max_targets
-    )
     records: list[TargetRecord] = []
     for method in spec.methods:
-        for u in targets:
+        for u in inv.targets[run]:
             seed = derive_seed(
                 spec.seed, "attack", run, method, repr(tau), repr(beta_factor), u
             )
             outcome = attack(
                 method, g, u, spec.detector, cell_config, seed, inv.part_attack, inv.scores
             )
-            if eval_det == spec.detector:
+            if inv.eval_detector == spec.detector:
                 sim_eval, part_eval_after = outcome.similarity, outcome.partition
             else:
-                sim_eval, _, part_eval_after = Scorer(g, u, eval_det, inv.part_eval)(outcome.deltas)
+                score = Scorer(g, u, inv.eval_detector, inv.part_eval)
+                sim_eval, _, part_eval_after = score(outcome.deltas)
             nmi_val = nmi(inv.labels_before, part_eval_after.membership(g.n))
             records.append(
                 TargetRecord(
@@ -373,29 +374,18 @@ def summarise(records: Sequence[TargetRecord], g: Graph, runs: int) -> list[Summ
     return rows
 
 
-# A worker's copy of the (graph, spec, invariants) its cells share, set once
-# per process by the pool initializer.
-_shared: tuple[Graph, ExperimentSpec, _Invariants] | None = None
-
-
-def _share(g: Graph, spec: ExperimentSpec, inv: _Invariants) -> None:
-    global _shared
-    _shared = (g, spec, inv)
-
-
-def _run_shared_cell(cell: tuple[int, float, float]) -> list[TargetRecord]:
-    return _run_cell(*_shared, *cell)
-
-
 def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
     """Execute the full benchmark grid, optionally across worker processes.
 
-    The partitions and structural scores of g are computed once here and
-    shared by every cell; worker processes receive them once, at start-up.
-    A pool starts no more workers than there are cells or CPUs.
+    The partitions and structural scores of g, and each run's targets, are
+    computed once here and shared by every cell. A cell is one call of
+    `_run_cell` on this set-up and its (run, tau, beta_factor); a pool maps
+    the same call, so the set-up travels with each cell. A pool starts no
+    more workers than there are cells or CPUs.
     """
     t0 = time.perf_counter()
     inv = _invariants(g, spec)
+    run_cell = partial(_run_cell, g, spec, inv)
     cells = [
         (run, tau, beta_factor)
         for run in range(spec.runs)
@@ -406,12 +396,10 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # spares serial runs the import
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_share, initargs=(g, spec, inv)
-        ) as pool:
-            chunks = list(pool.map(_run_shared_cell, cells))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run_cell, cells))
     else:
-        chunks = [_run_cell(g, spec, inv, *cell) for cell in cells]
+        chunks = list(map(run_cell, cells))
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.method, r.tau, r.beta_factor, r.run, r.target))
     summary = summarise(records, g, spec.runs)
@@ -420,7 +408,7 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
     meta = {k: v for k, v in asdict(spec).items() if k != "jobs"}
     meta.update(
         config={k: meta["config"][k] for k in CONFIG_KEYS},
-        eval_detector=asdict(spec.effective_eval_detector), n=g.n, m=g.m,
+        eval_detector=asdict(inv.eval_detector), n=g.n, m=g.m,
         wall_seconds=time.perf_counter() - t0,
     )
     return Report(records=records, summary=summary, meta=meta)

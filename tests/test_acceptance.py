@@ -495,13 +495,31 @@ def test_criterion_10_every_tuned_preset_searches(capsys, kar):
 # targets hidden on karate under greedy with the kar preset at beta 1, 2 and 3,
 # as measured when this check landed: floors, never to be lowered
 GRADIENT_HIDES_KARATE = {1: 19, 2: 26, 3: 28}
+# the sign-aware random rows at gradient's calls, in the same cells: the search
+# leads them by 5, 2 and 3 targets, a margin reported, not asserted
+SIGN_AWARE_HIDES_KARATE = {1: 14, 2: 24, 3: 25}
+
+
+def _hides_at_equal_calls(g, u, detector, part, config, pool, calls) -> bool:
+    """Whether one of `calls` rows of beta nodes drawn from `pool` hides u."""
+    rng = np.random.default_rng(u)
+    score = Scorer(g, u, detector, part)
+    for _ in range(calls):
+        flips = rng.choice(pool, size=min(config.beta, len(pool)), replace=False)
+        if config.hides(score((EdgeDelta(u, flips.tolist()),))[0], flips.size):
+            return True
+    return False
 
 
 def test_criterion_12_the_search_beats_its_own_target_vector(capsys, kar):
     # karate under greedy, kar preset, tau 0.5, every attack seeded with its
     # target's id and given the partition and scores. Static top-beta scores
     # once the beta coordinates that pull hardest toward the target vector,
-    # (1 - 2 row) (target - row), the target itself left out.
+    # (1 - 2 row) (target - row), the target itself left out. The equal-calls
+    # references draw, per target, up to as many rows as the search made
+    # detector calls and stop at the first that hides: "uniform" draws beta of
+    # the other nodes, "sign-aware" beta of the in-community neighbours (to
+    # drop) and the outside non-neighbours (to add).
     greedy = DetectorSpec("greedy")
     part = detect(kar, greedy)
     targets = [u for u in range(kar.n) if len(part.community_members(u)) > 1]
@@ -512,27 +530,39 @@ def test_criterion_12_the_search_beats_its_own_target_vector(capsys, kar):
         searched = [
             hide(kar, u, greedy, config, seed=u, partition=part, scores=scores) for u in targets
         ]
-        static = 0
-        for u in targets:
+        static = uniform = sign_aware = 0
+        for u, outcome in zip(targets, searched):
             row = kar.row(u).astype(float)
+            others = [v for v in range(kar.n) if v != u]
             pull = (1.0 - 2.0 * row) * (promising_actions(u, part, scores) - row)
-            flips = top_ranked(pull, [v for v in range(kar.n) if v != u], beta)
+            flips = top_ranked(pull, others, beta)
             similarity = Scorer(kar, u, greedy, part)((EdgeDelta(u, flips),))[0]
             static += config.hides(similarity, len(flips))
+            comm = part.community_members(u)
+            signed = [v for v in others if (v in comm) == bool(row[v])]
+            calls = outcome.detections
+            uniform += _hides_at_equal_calls(kar, u, greedy, part, config, others, calls)
+            sign_aware += _hides_at_equal_calls(kar, u, greedy, part, config, signed, calls)
         results[beta] = (
             sum(o.success for o in searched), sum(o.detections for o in searched), static,
+            uniform, sign_aware,
         )
     ok = all(
-        hidden >= GRADIENT_HIDES_KARATE[beta] and hidden > static
-        for beta, (hidden, _, static) in results.items()
+        hidden >= GRADIENT_HIDES_KARATE[beta] and hidden > static and hidden > uniform
+        and sign_aware == SIGN_AWARE_HIDES_KARATE[beta]
+        for beta, (hidden, _, static, uniform, sign_aware) in results.items()
     )
     _report(
-        capsys, "criterion 12 (search beats static top-beta)", ok,
+        capsys, "criterion 12 (search beats static top-beta and uniform rows at equal calls)",
+        ok,
         "; ".join(
-            f"beta {beta}: gradient {hidden} of {len(targets)} ({calls} calls), static {static}"
-            for beta, (hidden, calls, static) in results.items()
+            f"beta {beta}: gradient {hidden} of {len(targets)} ({calls} calls), "
+            f"static {static}, uniform {uniform}, sign-aware {sign_aware}"
+            for beta, (hidden, calls, static, uniform, sign_aware) in results.items()
         ),
     )
-    for beta, (hidden, _, static) in results.items():
+    for beta, (hidden, _, static, uniform, sign_aware) in results.items():
         assert hidden >= GRADIENT_HIDES_KARATE[beta], (beta, hidden)
         assert hidden > static, (beta, hidden, static)
+        assert hidden > uniform, (beta, hidden, uniform)
+        assert sign_aware == SIGN_AWARE_HIDES_KARATE[beta], (beta, sign_aware)

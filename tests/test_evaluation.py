@@ -2,6 +2,7 @@ import concurrent.futures
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -194,10 +195,6 @@ def test_experiment_spec_validation():
     for axis in (dict(methods=("dice", "dice")), dict(taus=(0.5, 0.5)), dict(beta_factors=(1, 1.0))):
         with pytest.raises(ConfigError, match=f"{next(iter(axis))} must list one or more distinct"):
             ExperimentSpec(**axis)
-    spec = ExperimentSpec(detector=DetectorSpec("greedy"))
-    assert spec.effective_eval_detector == spec.detector
-    louvain = ExperimentSpec(eval_detector=DetectorSpec("louvain"))
-    assert louvain.effective_eval_detector == DetectorSpec("louvain")
 
 
 def test_float_fields_store_floats():
@@ -264,9 +261,8 @@ def test_pool_starts_no_more_workers_than_cells_or_cpus(cliques, cliques_report,
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -278,13 +274,35 @@ def test_pool_starts_no_more_workers_than_cells_or_cpus(cliques, cliques_report,
             return map(fn, cells)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(evaluation, "_shared", None)
     for cpus, want in ((64, [2]), (1, [])):  # 2 cells; one CPU runs them serially
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pooled = run_experiment(cliques, replace(spec, jobs=10_000))
         assert sizes == want
         assert pooled.records == report.records
+
+
+def test_a_spawned_pool_gives_the_serial_records(cliques, cliques_report, monkeypatch):
+    # spawned workers, the default on macOS and Windows, inherit nothing of this
+    # process: every cell's set-up has to travel with the cell
+    spec, report = cliques_report
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spawning(max_workers, **kwargs):
+        sizes.append(max_workers)
+        spawn = multiprocessing.get_context("spawn")
+        return real(max_workers=max_workers, mp_context=spawn, **kwargs)
+
+    # the children import the cmhide this process imported
+    src = str(Path(cmhide.__file__).resolve().parent.parent)
+    paths = (src, os.environ.get("PYTHONPATH"))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+    spawned = run_experiment(cliques, replace(spec, jobs=2))
+    assert sizes == [2]
+    assert spawned.records == report.records
 
 
 def test_records_take_the_wall_time_their_attack_stamps(kar, monkeypatch):
@@ -322,6 +340,7 @@ def test_records_take_the_wall_time_their_attack_stamps(kar, monkeypatch):
 def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detector):
     betweenness_calls = []
     unperturbed_detects = []
+    target_draws = []
 
     def counted_betweenness(g):
         betweenness_calls.append(g)
@@ -332,11 +351,16 @@ def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detect
             unperturbed_detects.append(spec.name)
         return detectors.detect(g, spec)
 
+    def counted_sample_targets(*args):
+        target_draws.append(args)
+        return sample_targets(*args)
+
     scoring_betweenness = scoring.betweenness
     for module in (scoring, baselines):
         monkeypatch.setattr(module, "betweenness", counted_betweenness)
     for module in (evaluation, baselines, gradient):
         monkeypatch.setattr(module, "detect", counted_detect)
+    monkeypatch.setattr(evaluation, "sample_targets", counted_sample_targets)
     spec = ExperimentSpec(
         taus=(0.3, 0.5), beta_factors=(0.5, 1.0), runs=2, seed=1, max_targets=2,
         detector=DetectorSpec("greedy"), eval_detector=eval_detector,
@@ -348,6 +372,7 @@ def test_experiment_computes_graph_invariants_once(kar, monkeypatch, eval_detect
         (run, tau, bf) for run in (0, 1) for tau in (0.3, 0.5) for bf in (0.5, 1.0)
     }
     assert betweenness_calls == [kar]
+    assert len(target_draws) == spec.runs  # one draw per run, shared by its cells
     assert report.meta["eval_detector"] == asdict(eval_detector or spec.detector)
     expected = ["greedy"] if eval_detector is None else ["greedy", "louvain"]
     assert sorted(unperturbed_detects) == expected
@@ -362,12 +387,12 @@ def test_a_target_alone_under_the_eval_detector_still_gives_records(kar):
         eval_detector=DetectorSpec("louvain"), config=get_preset("kar").config(),
     )
     inv = evaluation._invariants(kar, spec)
-    targets = sample_targets(inv.part_attack, evaluation.derive_seed(1, "targets", 0), 3)
+    targets = inv.targets[0]
     alone = Partition.from_labels(
         ("alone", v) if v in targets else c for v, c in enumerate(inv.part_eval.labels)
     )
     inv = replace(inv, part_eval=alone, labels_before=alone.membership(kar.n))
-    records = evaluation._run_cell(kar, spec, inv, 0, 0.5, 1.0)
+    records = evaluation._run_cell(kar, spec, inv, (0, 0.5, 1.0))
     assert len(records) == 3 * len(targets) > 0
     assert all(r.similarity == 0.0 and r.success for r in records)
 
