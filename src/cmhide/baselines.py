@@ -145,6 +145,6 @@ def run_baseline(
         raise ConfigError(
             f"unknown baseline {name!r}; available: {', '.join(BASELINE_NAMES)}"
         ) from None
-    return _drive(g, u, detector, config, seed, partition, lambda score: [
+    return _drive(g, u, detector, config, seed, partition, scores, lambda score: [
         (plan(g, u, score.reference | {u}, min(config.beta, g.n - 1), seed, scores), False)
     ])

@@ -1,7 +1,8 @@
 """Command-line interface: detect, hide, benchmark and analyze subcommands.
 
 Machine output is JSON (or CSV for tabular data) on stdout or --out; this
-module formats all of it, with one JSON dump and one CSV cell rule. --verbose
+module formats all of it, with one JSON dump and one CSV cell rule, and reads
+every file a user names, with errors that name its path. --verbose
 adds a human-readable digest on stderr. Exit codes: 0 success, 1 hiding
 failed under --strict, 2 usage or config errors. Optimiser settings come
 from a built-in preset, then a config object that beats it: `hide` reads
@@ -19,7 +20,7 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Collection, Iterable, Sequence
 
 from .detectors import DETECTOR_NAMES, DetectorSpec, Partition, detect
 from .errors import CmhideError, ConfigError, EdgeListParseError
@@ -36,11 +37,55 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .gradient import CONFIG_KEYS, HidingConfig, HidingOutcome
 from .graph import Graph, load_edge_list_with_stats
 from .presets import PRESET_NAMES, get_preset
-from .schema import fits, from_json, load_json, read_json, read_text
+from .schema import fits
 from .scoring import pagerank, structural_scores
 
 # a spec's `jobs` is left to --jobs
 _SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.name != "jobs")}
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file named on the command line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{what} {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
+def from_json(value, what: str, where: str, build: Callable, keys: Collection[str], required=()):
+    """`build` called on a copy of `value`, the JSON object of a `what` found `where`.
+
+    Rejects a non-object, a missing required key and a key not in `keys`.
+    Every error, those `build` raises included, names `where`.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must contain a JSON object")
+    if missing := set(required) - set(value):
+        raise ConfigError(f"{where} is missing keys: {', '.join(sorted(missing))}")
+    if unknown := set(value) - set(keys):
+        raise ConfigError(f"unknown {what} keys in {where}: {', '.join(sorted(unknown))}")
+    try:
+        return build(dict(value))
+    except CmhideError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def read_json(path: str, what: str):
+    """The JSON value in a `what` file: the one reader of JSON input files."""
+    try:
+        return json.loads(read_text(path, f"{what} file"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path!r} is not valid JSON: {exc}") from None
+
+
+def load_json(path: str, what: str, build: Callable, keys: Collection[str], required=()):
+    """`from_json` on the object in a `what` file."""
+    return from_json(read_json(path, what), what, f"{what} file {path!r}", build, keys, required)
 
 
 def _load_graph(path: str) -> Graph:
@@ -72,7 +117,6 @@ def _detector_from_json(value, key: str) -> DetectorSpec:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -81,7 +125,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _json(payload) -> str:
     """Every JSON output: indented, with sorted keys, so reruns compare byte for byte."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt(value) -> str:
@@ -231,7 +275,7 @@ def _cmd_benchmark(args) -> int:
     report = run_experiment(g, replace(spec, jobs=args.jobs))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report_to_json(report) + "\n", "utf-8")
+    (out_dir / "report.json").write_text(report_to_json(report), "utf-8")
     for name, row_type, rows in (
         ("summary.csv", SummaryRow, report.summary), ("records.csv", TargetRecord, report.records)
     ):

@@ -326,17 +326,19 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def summarise(records: Sequence[TargetRecord], g: Graph, runs: int) -> list[SummaryRow]:
-    """Aggregate per-target records into one row per grid cell."""
+def summarise(records: Sequence[TargetRecord], g: Graph) -> list[SummaryRow]:
+    """Aggregate per-target records into one row per grid cell, over the runs they name."""
     pr = pagerank(g)
     cells: dict[tuple[str, float, float], list[TargetRecord]] = {}
     for r in records:
         cells.setdefault((r.method, r.tau, r.beta_factor), []).append(r)
     rows: list[SummaryRow] = []
     for (method, tau, beta_factor), recs in sorted(cells.items()):
+        runs: dict[int, list[TargetRecord]] = {}
+        for r in recs:
+            runs.setdefault(r.run, []).append(r)
         srs, nmis, f1s, prs = [], [], [], []
-        for run in range(runs):
-            run_recs = [r for r in recs if r.run == run]
+        for _, run_recs in sorted(runs.items()):
             sr = sum(r.success for r in run_recs) / len(run_recs)
             nm = sum(r.nmi for r in run_recs) / len(run_recs)
             srs.append(sr)
@@ -402,7 +404,7 @@ def run_experiment(g: Graph, spec: ExperimentSpec) -> Report:
         chunks = list(map(run_cell, cells))
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: (r.method, r.tau, r.beta_factor, r.run, r.target))
-    summary = summarise(records, g, spec.runs)
+    summary = summarise(records, g)
     # the spec as run, less --jobs, which never changes a record, and less the
     # config's tau, beta and exhaust_budget, which each cell and method replace
     meta = {k: v for k, v in asdict(spec).items() if k != "jobs"}

@@ -184,11 +184,12 @@ class Scorer:
 
 def _drive(
     g: Graph, u: int, detector: DetectorSpec, config: HidingConfig, seed: int,
-    partition: Partition | None, propose, finish=None,
+    partition: Partition | None, scores: StructuralScores | None, propose, finish=None,
 ) -> HidingOutcome:
     """The one attack loop: scores the rows a method proposes, keeps the best and stops.
 
-    After the seed and target checks, `propose(score)` yields (deltas, truncated)
+    After the checks of the seed, the target and the sizes of the partition
+    and the scores given, `propose(score)` yields (deltas, truncated)
     pairs, taken only while the kept row fails `config.hides` and fewer than
     max_iter rows followed the first. The first row is kept whatever it scores, a
     later one only when strictly lower; `finish(kept)` may replace the kept deltas.
@@ -198,6 +199,10 @@ def _drive(
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0 <= u < g.n:
         raise ValueError(f"target {u} outside graph with n={g.n}")
+    if partition is not None and len(partition.labels) != g.n:
+        raise ValueError(f"partition covers {len(partition.labels)} nodes, graph has n={g.n}")
+    if scores is not None and scores.combined.size != g.n:
+        raise ValueError(f"scores cover {scores.combined.size} nodes, graph has n={g.n}")
     score = Scorer(g, u, detector, partition)
     if not score.reference:
         raise SingletonCommunityError(
@@ -278,7 +283,8 @@ def hide(
         return (EdgeDelta(u, project_to_budget(row, u, p_hat, g_bar, kept[0].toggled, config)),)
 
     return _drive(
-        g, u, detector, config, seed, partition, propose, finish if config.exhaust_budget else None
+        g, u, detector, config, seed, partition, scores, propose,
+        finish if config.exhaust_budget else None,
     )
 
 

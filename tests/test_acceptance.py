@@ -356,24 +356,33 @@ def test_criterion_8_exhaustive_feasibility(capsys, cliques):
     assert elapsed < 120
 
 
-def _oracle_violations(g: Graph, detector: DetectorSpec, beta: int) -> tuple[list[str], int, int]:
+def _oracle_violations(
+    g: Graph, detector: DetectorSpec, beta: int
+) -> tuple[list[str], int, int, dict[str, tuple[int, int, int]]]:
     """Every method on every target with a community, checked against the exact oracle.
 
-    Returns the violations, the targets the oracle can hide within beta, and
-    the targets. A success must fit beta and replay to its similarity; a
-    single-row method (all but roam, which edits a second row) must also spend
-    at least the oracle's fewest flips, so never hide an unhideable target.
+    Returns the violations, the targets the oracle can hide within beta, the
+    targets, and per method the hideable targets it hid, the flips it spent on
+    them above the oracle's fewest, and its detector calls on all targets. A
+    success must fit beta and replay to its similarity; a single-row method
+    (all but roam, which edits a second row) must also spend at least the
+    oracle's fewest flips, so never hide an unhideable target.
     """
     part = detect(g, detector)
     config = get_preset("kar").config(tau=0.5, beta=beta)
     targets = [u for u in range(g.n) if len(part.community_members(u)) > 1]
     fewest = {u: fewest_flips(g, u, detector, config, part) for u in targets}
     violations = []
+    tally = {}
     for method in ALL_METHODS:
+        hidden = excess = calls = 0
         for u in targets:
             outcome = attack(method, g, u, detector, config, seed=u, partition=part)
+            calls += outcome.detections
             if not outcome.success:
                 continue
+            if fewest[u] is not None:
+                hidden, excess = hidden + 1, excess + outcome.used_budget - fewest[u]
             replay = g
             for delta in outcome.deltas:
                 replay = apply_delta(replay, delta)
@@ -385,25 +394,38 @@ def _oracle_violations(g: Graph, detector: DetectorSpec, beta: int) -> tuple[lis
                 violations.append(f"{where}: used {outcome.used_budget}, replay sim {sim:.3f}")
             if method != "roam" and (fewest[u] is None or outcome.used_budget < fewest[u]):
                 violations.append(f"{where}: {outcome.used_budget} flips, oracle {fewest[u]}")
-    return violations, sum(f is not None for f in fewest.values()), len(targets)
+        tally[method] = (hidden, excess, calls)
+    return violations, sum(f is not None for f in fewest.values()), len(targets), tally
 
 
 def test_criterion_11_no_attack_beats_the_exact_oracle(capsys, kar):
     t0 = time.perf_counter()
-    violations, hideable, targets = _oracle_violations(kar, DetectorSpec("greedy"), 2)
+    violations, hideable, targets, tally = _oracle_violations(kar, DetectorSpec("greedy"), 2)
     kar_counts = (hideable, targets)
+    found, hideable_1, _, tally_1 = _oracle_violations(kar, DetectorSpec("greedy"), 1)
+    violations += found
     for n in (9, 11):
         for seed in range(4):
             for algo in ("greedy", "louvain", "label_propagation"):
-                found, h, t = _oracle_violations(random_graph(n, 0.5, seed), DetectorSpec(algo), 3)
+                found, h, t, _ = _oracle_violations(random_graph(n, 0.5, seed), DetectorSpec(algo), 3)
                 violations += found
                 hideable, targets = hideable + h, targets + t
     elapsed = time.perf_counter() - t0
     ok = not violations and kar_counts == (29, 34) and hideable < targets
+    # per method, at beta 1 then 2: hideable targets hidden, flips above the
+    # oracle's fewest on them, and detector calls per hidden target
+    per_method = "; ".join(
+        f"{m} " + ", ".join(
+            f"{h}/{best} +{x} {c / max(h, 1):.1f}"
+            for (h, x, c), best in ((tally_1[m], hideable_1), (tally[m], kar_counts[0]))
+        )
+        for m in ALL_METHODS
+    )
     _report(
         capsys, "criterion 11 (exact fewest-flips oracle)", ok,
         f"karate {kar_counts[0]} of {kar_counts[1]} hideable at beta 2; {hideable} of "
-        f"{targets} in all; {len(violations)} violations in {elapsed:.1f}s",
+        f"{targets} in all; {len(violations)} violations in {elapsed:.1f}s; karate at "
+        f"beta 1 and 2, hidden/hideable +excess flips calls per hide: {per_method}",
     )
     assert not violations, violations[:5]
     assert kar_counts == (29, 34)

@@ -146,7 +146,7 @@ def test_summarise_aggregates_per_run_then_across_runs():
         mk_record(0, 2, False, 0.9, 3, 0.6, (2,), 0.5),
         mk_record(1, 0, True, 0.1, 1, 1.0, (1,), 0.25),
     ]
-    (row,) = summarise(records, g, runs=2)
+    (row,) = summarise(records, g)
     assert (row.method, row.tau, row.beta_factor, row.beta) == ("m", 0.5, 1.0, 3)
     assert row.runs == 2 and row.targets == 3
     assert row.sr_mean == pytest.approx(np.mean([0.5, 1.0]))
@@ -195,6 +195,12 @@ def test_experiment_spec_validation():
     for axis in (dict(methods=("dice", "dice")), dict(taus=(0.5, 0.5)), dict(beta_factors=(1, 1.0))):
         with pytest.raises(ConfigError, match=f"{next(iter(axis))} must list one or more distinct"):
             ExperimentSpec(**axis)
+    with pytest.raises(ConfigError, match="^detector must be a DetectorSpec, got 'greedy'$"):
+        ExperimentSpec(detector="greedy")
+    with pytest.raises(ConfigError, match="^eval_detector must be a DetectorSpec or None, got "):
+        ExperimentSpec(eval_detector="louvain")
+    with pytest.raises(ConfigError, match="^config must be a HidingConfig, got "):
+        ExperimentSpec(config={"eta": 0.1})
 
 
 def test_float_fields_store_floats():
@@ -398,17 +404,23 @@ def test_a_target_alone_under_the_eval_detector_still_gives_records(kar):
 
 
 def test_import_leaves_process_pools_unloaded():
-    # only run_experiment with jobs > 1 needs them, and only the CLI writes CSV
-    code = (
-        "import sys, cmhide; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures', 'csv') if m in sys.modules])"
-    )
+    # only run_experiment with jobs > 1 needs them, and only the CLI reads JSON and writes CSV
+    unloaded = ("multiprocessing", "concurrent.futures", "csv", "json")
+    code = f"import sys, cmhide; print([m for m in {unloaded!r} if m in sys.modules])"
     src = str(Path(cmhide.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_summarise_takes_the_runs_from_the_records(kar):
+    spec = ExperimentSpec(methods=("dice",), taus=(0.5,), beta_factors=(1.0,), runs=2, max_targets=2)
+    report = run_experiment(kar, spec)
+    assert {r.run for r in report.records} == {0, 1} and len(report.records) == 10
+    assert summarise(report.records, kar) == report.summary
+    assert report.summary[0].runs == 2
 
 
 def test_summary_csv_tells_budget_factors_apart(kar):
@@ -529,6 +541,18 @@ def test_attack_rejects_a_bad_seed(kar, greedy, seed):
         cmhide.hide(kar, 9, greedy, config, seed=seed)
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
         cmhide.run_baseline("random", kar, 9, greedy, config, seed=seed)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_attack_rejects_another_graphs_partition_or_scores(kar, barbell, greedy, method):
+    config = get_preset("kar").config(beta=3)
+    part = detectors.detect(barbell, greedy)
+    with pytest.raises(ValueError, match="^partition covers 6 nodes, graph has n=34$"):
+        evaluation.attack(method, kar, 0, greedy, config, partition=part)
+    if method in ("gradient", "centrality"):  # the methods that read the scores
+        scores = scoring.structural_scores(barbell, part)
+        with pytest.raises(ValueError, match="^scores cover 6 nodes, graph has n=34$"):
+            evaluation.attack(method, kar, 0, greedy, config, scores=scores)
 
 
 def test_attack_rejects_an_unknown_method_listing_all(kar, greedy):
