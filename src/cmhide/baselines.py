@@ -22,12 +22,6 @@ from .graph import EdgeDelta, Graph
 from .scoring import StructuralScores, betweenness, top_ranked
 
 
-def _degrees_and_neighbours(g: Graph, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's degree and u's sorted neighbours, read off the cached CSR."""
-    indptr, indices = g.csr()  # np.diff would cost several times this slicing on small graphs
-    return indptr[1:] - indptr[:-1], indices[indptr[u]:indptr[u + 1]]
-
-
 def _dice(
     g: Graph, u: int, members: frozenset[int], beta: int, seed: int,
     scores: StructuralScores | None,
@@ -39,7 +33,8 @@ def _dice(
     until the budget is spent. Without an internal neighbour the whole
     budget goes to additions.
     """
-    degrees, nbrs = _degrees_and_neighbours(g, u)
+    indptr, indices, degrees, _ = g.csr()
+    nbrs = indices[indptr[u]:indptr[u + 1]]
     skip = np.zeros(g.n, dtype=bool)  # u's community (u included), then its neighbours too
     skip[list(members)] = True
     drop = top_ranked(degrees, nbrs[skip[nbrs]], 1)
@@ -58,7 +53,8 @@ def _roam(
     budget-1 edges from v0 to the highest-degree other neighbours of the
     target not yet adjacent to v0. The additions land on v0's row.
     """
-    degrees, nbrs = _degrees_and_neighbours(g, u)
+    indptr, indices, degrees, _ = g.csr()
+    nbrs = indices[indptr[u]:indptr[u + 1]]
     if not nbrs.size:
         return (EdgeDelta(u),)
     v0, *rest = top_ranked(degrees, nbrs, nbrs.size)
@@ -92,7 +88,7 @@ def _degree(
     Toggling (u, v) changes only the degrees of u and v, and neither can be
     picked again, so re-ranking after every toggle would pick the same nodes.
     """
-    degrees, _ = _degrees_and_neighbours(g, u)
+    _, _, degrees, _ = g.csr()
     others = np.nonzero(np.arange(g.n) != u)[0]
     return (EdgeDelta(u, frozenset(top_ranked(degrees, others, beta))),)
 

@@ -45,10 +45,10 @@ _SPEC_KEYS = {"graph", "preset", *(f.name for f in fields(ExperimentSpec) if f.n
 
 
 def read_text(path: str, what: str) -> str:
-    """The UTF-8 text of a file named on the command line."""
+    """The UTF-8 text of a file named on the command line, a leading byte-order mark skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")  # utf-8-sig would count error offsets past it
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

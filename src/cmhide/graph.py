@@ -103,18 +103,22 @@ class Graph:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, row in enumerate(self._adj) for v in row if u < v)
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only compressed rows: v's neighbours are indices[indptr[v]:indptr[v + 1]]."""
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only compressed rows (indptr, indices, degree, tails), built once.
+
+        v's neighbours are indices[indptr[v]:indptr[v + 1]], degree[v] of
+        them, and tails[k] is the node that arc k leaves.
+        """
         try:
             return self._csr
         except AttributeError:
             pass
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in self._adj], out=indptr[1:])
+        degree = np.fromiter(map(len, self._adj), dtype=np.int64, count=self.n)
+        indptr = np.concatenate(([0], np.cumsum(degree)))
         indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1]))
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        self._csr = (indptr, indices)
+        self._csr = (indptr, indices, degree, np.repeat(np.arange(self.n), degree))
+        for array in self._csr:
+            array.setflags(write=False)
         return self._csr
 
     def row(self, u: int) -> np.ndarray:

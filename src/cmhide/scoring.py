@@ -68,13 +68,13 @@ def betweenness(g: Graph) -> np.ndarray:
     dependencies flow back from it in reverse, so every sum is taken in the
     order of the one-source-at-a-time queue-and-stack version and the
     result equals it bit for bit: nodes with tied scores keep their rank
-    order. Ranks are held in `np.min_scalar_type(block * n)`, the sort key
-    itself, and numpy sorts keys of 16 bits or fewer stably by radix.
+    order. Ranks are held in `np.min_scalar_type(block * n)`, and each sort
+    casts its keys, ranks in one frontier, to `np.min_scalar_type` of that
+    frontier's size: numpy sorts keys of 16 bits or fewer stably by radix.
     """
     n = g.n
-    indptr, indices = g.csr()
-    degree = np.diff(indptr)
-    offset = indices - np.repeat(np.arange(n), degree)
+    indptr, indices, degree, tails = g.csr()
+    offset = indices - tails
     bc = np.zeros(n)
     for first in range(0, n, _BLOCK):
         block = min(_BLOCK, n - first)
@@ -106,8 +106,9 @@ def betweenness(g: Graph) -> np.ndarray:
             # expanded array is freed before the next copy is made
             tail = tail[keep]
             head = head[keep]
-            if pull:
-                keep = np.argsort(rank[tail], kind="stable")
+            if pull:  # parent ranks lie below the frontier's size
+                keep = rank[tail].astype(np.min_scalar_type(front.size), copy=False)
+                keep = np.argsort(keep, kind="stable")
                 tail = tail[keep]
                 head = head[keep]
             sigma += np.bincount(head, weights=sigma[tail], minlength=size)
@@ -120,7 +121,8 @@ def betweenness(g: Graph) -> np.ndarray:
             seen[front] = True
             rank[front] = np.arange(front.size)
             # sort ties are arcs into one head; their order changes no sum
-            back = np.argsort(front.size - 1 - rank[head], kind="stable")
+            back = rank[head].astype(np.min_scalar_type(front.size), copy=False)
+            back = np.argsort(front.size - 1 - back, kind="stable")
             dag.append((tail[back], head[back]))
             # free this level's arrays before the next one allocates its own
             del tail, head, keep, tail_rank, back
@@ -138,9 +140,7 @@ def pagerank(g: Graph) -> np.ndarray:
     n = g.n
     if n == 0:
         return np.zeros(0)
-    indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    rows = np.repeat(np.arange(n), deg)
+    _, indices, deg, tails = g.csr()
     x = np.full(n, 1.0 / n)
     base = (1.0 - PAGERANK_DAMPING) / n
     dangling = deg == 0
@@ -150,7 +150,7 @@ def pagerank(g: Graph) -> np.ndarray:
     for _ in range(PAGERANK_MAX_ITER):
         share = x * inv_deg
         nxt = np.full(n, base + PAGERANK_DAMPING * x[dangling].sum() / n)
-        nxt += PAGERANK_DAMPING * np.bincount(rows, weights=share[indices], minlength=n)
+        nxt += PAGERANK_DAMPING * np.bincount(tails, weights=share[indices], minlength=n)
         if np.abs(nxt - x).sum() < PAGERANK_TOL:
             return nxt
         x = nxt
@@ -160,11 +160,9 @@ def pagerank(g: Graph) -> np.ndarray:
 def community_degrees(g: Graph, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (intra, inter) degree split relative to a partition."""
     n = g.n
-    indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    rows = np.repeat(np.arange(n), deg)
+    _, indices, deg, tails = g.csr()
     label = partition.membership(n)
-    intra = np.bincount(rows[label[rows] == label[indices]], minlength=n)
+    intra = np.bincount(tails[label[tails] == label[indices]], minlength=n)
     return intra, deg - intra
 
 

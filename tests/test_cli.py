@@ -233,6 +233,35 @@ def _beside_file_5(tmp_path, argv):
 
 HIDE_9 = ("hide", "--graph", "kar", "--target", "9")
 
+BOM = "\ufeff".encode("utf-8")  # EF BB BF, which some editors write first in a UTF-8 file
+
+
+def test_an_edge_list_with_a_byte_order_mark_reads_as_without(capsys, tmp_path):
+    # the mark is no part of the first label: node 0 stays one node
+    text = b"0 1\n1 2\n2 0\n2 3\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text)
+    marked.write_bytes(BOM + text)
+    rc, out, err = run_cli(capsys, "detect", "--graph", str(marked))
+    assert rc == 0, err
+    assert (rc, out, err) == run_cli(capsys, "detect", "--graph", str(plain))
+    assert sorted(lab for comm in json.loads(out)["communities"] for lab in comm) == list("0123")
+    # a byte that is not UTF-8 is placed from the start of the file, mark included
+    rc, _, err = run_cli(capsys, "detect", "--graph", _bytes_file(tmp_path, BOM + LATIN1))
+    assert rc == 2 and err.endswith(" at byte 6\n")
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read(capsys, tmp_path):
+    # target 0 is not hidden at tau 0.01 within 4 iterations, so max_iter sets the count
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(BOM + json.dumps({"max_iter": 4}).encode("utf-8"))
+    rc, out, err = run_cli(
+        capsys, "hide", "--graph", "kar", "--target", "0", "--preset", "kar", "--seed", "3",
+        "--tau", "0.01", "--beta", "2", "--config", str(cfg),
+    )
+    assert rc == 0, err
+    assert json.loads(out)["iterations"] == 4
+
 KAR_AS_FILE = {"eta": 0.079, "lam": 1.71, "max_iter": 120, "weights": [0.33, 0.20, 0.21, 0.24]}
 
 # one grid cell, few targets: a spec case wrongly accepted runs in a moment

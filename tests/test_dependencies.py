@@ -45,3 +45,14 @@ def test_only_the_cli_reads_and_writes_files():
     found = [(file, n) for file, n in _imports_and_calls() if n in ("json", "csv", "open()")]
     assert {file for file, _ in found} == {"cli.py"}
     assert {n for _, n in found} == {"json", "csv", "open()"}
+
+
+def test_only_the_graph_derives_degrees_and_arc_tails():
+    # Graph.csr() hands them out with the rows, so no kernel rebuilds them
+    found = {
+        path.name for path in Path(cmhide.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node).startswith(("np.diff(", "np.repeat(np.arange("))
+    }
+    assert found == {"graph.py"}

@@ -78,11 +78,15 @@ def test_loader_builds_the_graph_the_constructor_does():
 
 
 def test_csr_lists_the_rows_once_read_only(kar):
-    indptr, indices = kar.csr()
-    assert kar.csr()[0] is indptr and kar.csr()[1] is indices
-    assert not indptr.flags.writeable and not indices.flags.writeable
+    view = kar.csr()
+    indptr, indices, degree, tails = view
+    assert all(a is b for a, b in zip(kar.csr(), view)) and len(view) == 4
+    assert not any(a.flags.writeable for a in view)
     for v in range(kar.n):
         assert tuple(indices[indptr[v]:indptr[v + 1]].tolist()) == kar.neighbors(v)
+        assert degree[v] == kar.degree(v)
+        assert (tails[indptr[v]:indptr[v + 1]] == v).all()
+    assert tails.size == indices.size == 2 * kar.m
 
 
 def test_apply_delta_identity(kar):

@@ -238,19 +238,47 @@ def test_layered_case_has_path_counts_beyond_2_53():
     assert max_path_count(_kernel_cases()["layered n=177"]) > 2**53
 
 
-def test_betweenness_with_32_bit_sort_keys():
-    # past n = 4096 a block's flat ids need 32-bit sort keys, which numpy
-    # does not sort by radix. Isolated sources add only zero rows, so the
-    # component's values still equal the queue loop's on it alone.
+def _sorted_key_widths(monkeypatch, g) -> tuple[np.ndarray, set[int]]:
+    """betweenness(g) and the byte widths of the keys its sorts received."""
+    widths = set()
+    argsort = np.argsort
+
+    def recording(keys, *args, **kwargs):
+        widths.add(keys.dtype.itemsize)
+        return argsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    bc = betweenness(g)
+    monkeypatch.undo()
+    return bc, widths
+
+
+def test_betweenness_with_32_bit_sort_keys(monkeypatch):
+    # past n = 4096 a block's flat ids, and so its ranks, need 32 bits. Each
+    # sort casts its keys down to the size of the frontier they rank, since
+    # numpy sorts keys of 16 bits or fewer stably by radix. Isolated sources
+    # add only zero rows, so the component's values still equal the queue
+    # loop's on it alone.
     component = random_graph(60, 0.1, 5)
     g = Graph(
         [(str(a), str(b)) for a, b in component.edges()],
         node_labels=[str(v) for v in range(4100)],
     )
     assert np.min_scalar_type(_BLOCK * g.n) == np.uint32
-    bc = betweenness(g)
+    bc, widths = _sorted_key_widths(monkeypatch, g)
+    assert widths and max(widths) <= 2
     assert bc[:60].tobytes() == queue_betweenness(component).tobytes()
     assert (bc[60:] == 0.0).all()
+
+
+def test_betweenness_of_a_star_past_16_bit_frontiers(monkeypatch):
+    # from a block of 16 leaves, level 2 holds 16 * 4098 = 65568 flat ids,
+    # so that level's keys need 32 bits
+    n = 4100
+    bc, widths = _sorted_key_widths(monkeypatch, graph_from_edges([(0, v) for v in range(1, n)]))
+    assert 4 in widths
+    assert bc[0] == (n - 1) * (n - 2) / 2 == 8_398_851
+    assert (bc[1:] == 0.0).all()
 
 
 def _nx_graph(nx, g):
