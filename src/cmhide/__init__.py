@@ -4,9 +4,6 @@ The names below are the package's front door; everything else is imported
 from the module that defines it (cmhide.graph, cmhide.scoring, ...).
 """
 
-# every layer module stays loaded on import, so that perfbench's tracer finds
-# (and wraps) each module's own binding of a layer function
-from . import baselines, detectors, evaluation, gradient, graph, presets, scoring
 from .baselines import run_baseline
 from .detectors import DetectorSpec, Partition, detect
 from .errors import (

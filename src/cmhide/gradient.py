@@ -121,30 +121,22 @@ def flipped(row: np.ndarray, p_hat: np.ndarray) -> list[int]:
     return np.flatnonzero((1.0 - 2.0 * row) * p_hat >= FLIP).tolist()
 
 
-def _norm(x: np.ndarray) -> float:
-    return float((x * x).sum() ** 0.5)
-
-
 def _unit(x: np.ndarray) -> np.ndarray:
     """x over its L2 norm: the gradient of that norm, 0 at x = 0."""
-    return x / max(_norm(x), NORM_EPS)
-
-
-def loss_value(p_hat: np.ndarray, target_vec: np.ndarray, row: np.ndarray, lam: float) -> float:
-    """Pull toward the target vector plus a penalty on the perturbation size.
-
-    The penalty is the L2 norm of p_hat divided by sqrt(n), the per-node
-    root mean square; without that normalisation the tuned penalty weights
-    stall the optimiser on small graphs, where a raw-norm penalty above 1
-    makes the zero perturbation a global minimum.
-    """
-    return _norm(target_vec - row - p_hat) + lam * _norm(p_hat) * p_hat.size ** -0.5
+    return x / max(float((x * x).sum() ** 0.5), NORM_EPS)
 
 
 def loss_gradient(
     p_hat: np.ndarray, target_vec: np.ndarray, row: np.ndarray, lam: float
 ) -> np.ndarray:
-    """Analytic gradient of loss_value with respect to p_hat; `hide` zeroes the owner's entry."""
+    """Gradient with respect to p_hat of ||t - r - p_hat|| + lam * ||p_hat|| / sqrt(n).
+
+    The first term pulls the perturbed row r + p_hat toward the target vector
+    t; the second penalises the perturbation's size. Dividing that norm by
+    sqrt(n) makes it the per-node root mean square: a raw-norm penalty above 1
+    makes the zero perturbation a global minimum, so the tuned weights would
+    stall the optimiser on small graphs. `hide` zeroes the owner's entry.
+    """
     return -_unit(target_vec - row - p_hat) + lam * p_hat.size ** -0.5 * _unit(p_hat)
 
 

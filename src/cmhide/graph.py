@@ -92,9 +92,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self._adj[u]
         i = bisect_left(row, v)

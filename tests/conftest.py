@@ -126,7 +126,7 @@ def modularity(g: Graph, partition: Partition) -> float:
         intra = 0
         dsum = 0
         for v in comm:
-            dsum += g.degree(v)
+            dsum += len(g.neighbors(v))
             for w in g.neighbors(v):
                 if w in comm and w > v:
                     intra += 1
@@ -146,7 +146,7 @@ def brute_modularity(g: Graph, part: Partition) -> float:
             if member[i] != member[j]:
                 continue
             a = 1.0 if i != j and g.has_edge(i, j) else 0.0
-            q += a - g.degree(i) * g.degree(j) / two_m
+            q += a - len(g.neighbors(i)) * len(g.neighbors(j)) / two_m
     return q / two_m
 
 
@@ -201,6 +201,12 @@ def dice_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     if not sa and not sb:
         return 0.0
     return 2.0 * len(sa & sb) / (len(sa) + len(sb))
+
+
+def loss_value(p_hat: np.ndarray, target: np.ndarray, row: np.ndarray, lam: float) -> float:
+    """The loss `gradient.loss_gradient` differentiates: pull plus a per-node size penalty."""
+    pull = np.linalg.norm(target - row - p_hat)
+    return float(pull + lam * np.linalg.norm(p_hat) / p_hat.size ** 0.5)
 
 
 def fewest_flips(

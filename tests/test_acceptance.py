@@ -31,13 +31,13 @@ from cmhide import (
 )
 from cmhide.cli import main as cli_main
 from cmhide.evaluation import ALL_METHODS, attack
-from cmhide.gradient import Scorer, loss_gradient, loss_value
+from cmhide.gradient import Scorer, loss_gradient
 from cmhide.graph import Graph
 from cmhide.scoring import betweenness, promising_actions, structural_scores, top_ranked
 
 from conftest import (
     brute_betweenness, brute_modularity, brute_nmi, brute_pagerank, dice_similarity,
-    fewest_flips, modularity, random_graph, set_partitions,
+    fewest_flips, loss_value, modularity, random_graph, set_partitions,
 )
 
 ORACLE_TOL = 1e-10

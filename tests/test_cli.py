@@ -12,7 +12,8 @@ import pytest
 
 import cmhide
 from cmhide import (
-    ALL_METHODS, DetectorSpec, detect, get_preset, load_fixture, pagerank, structural_scores,
+    ALL_METHODS, DetectorSpec, HidingConfig, detect, get_preset, load_fixture, pagerank,
+    structural_scores,
 )
 from cmhide.cli import main
 from cmhide.evaluation import attack
@@ -667,13 +668,13 @@ def test_analyze_scores_needs_partition(capsys):
     assert exc.value.code == 2
 
 
-def _analyze_scores(capsys, tmp_path, weights) -> list[float]:
-    """analyze scores on karate's greedy partition, mixed by a config file's weights."""
+def _analyze_scores(capsys, tmp_path, weights=None) -> list[float]:
+    """analyze scores on karate's greedy partition, mixed by a config file's weights, if any."""
     part = tmp_path / "part.json"
     assert run_cli(capsys, "detect", "--graph", "kar", "--out", str(part))[0] == 0
+    config = () if weights is None else ("--config", _json_file(tmp_path, {"weights": weights}))
     rc, out, err = run_cli(
-        capsys, "analyze", "scores", "--graph", "kar", "--partition", str(part),
-        "--config", _json_file(tmp_path, {"weights": weights}),
+        capsys, "analyze", "scores", "--graph", "kar", "--partition", str(part), *config,
     )
     assert rc == 0, err
     rows = out.strip().splitlines()[1:]
@@ -694,6 +695,13 @@ def test_analyze_scores_mixes_by_the_config_weights(capsys, tmp_path):
     combined = structural_scores(g, detect(g, DetectorSpec("greedy")), weights).combined
     values = _analyze_scores(capsys, tmp_path, list(weights))
     assert values == pytest.approx(combined.tolist(), abs=1e-12)
+
+
+def test_analyze_scores_without_a_config_mixes_by_the_default_weights(capsys, tmp_path):
+    g = load_fixture("kar")
+    weights = HidingConfig().weights
+    combined = structural_scores(g, detect(g, DetectorSpec("greedy")), weights).combined
+    assert _analyze_scores(capsys, tmp_path) == pytest.approx(combined.tolist(), abs=1e-12)
 
 
 def test_benchmark_writes_the_three_artifacts(capsys, tmp_path):

@@ -258,7 +258,7 @@ def heap_greedy(g) -> Partition:
     if m == 0:
         return Partition.from_communities([{v} for v in range(n)])
     members = {v: {v} for v in range(n)}
-    dsum = {v: g.degree(v) for v in range(n)}
+    dsum = {v: len(g.neighbors(v)) for v in range(n)}
     cross = {v: {} for v in range(n)}
     for u, v in g.edges():
         cross[u][v] = 1

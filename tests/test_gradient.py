@@ -22,14 +22,13 @@ from cmhide.gradient import (
     flipped,
     hide_projected,
     loss_gradient,
-    loss_value,
     project_to_budget,
 )
 from cmhide import gradient
 from cmhide.evaluation import budget_for
 from cmhide.graph import Graph, clamp_add, delta_between
 from cmhide.scoring import promising_actions, structural_scores, top_ranked
-from conftest import dice_similarity, planted_blocks
+from conftest import dice_similarity, loss_value, planted_blocks
 
 
 def test_dice_similarity_examples():

@@ -18,7 +18,7 @@ from conftest import graph_from_edges, random_graph
 def test_karate_fixture_shape(kar):
     assert kar.n == 34
     assert kar.m == 78
-    assert sum(kar.degree(v) for v in range(kar.n)) == 2 * kar.m
+    assert sum(len(kar.neighbors(v)) for v in range(kar.n)) == 2 * kar.m
 
 
 def test_reversed_duplicate_collapses():
@@ -31,7 +31,7 @@ def test_self_loop_dropped_with_counter():
     g, stats = load_edge_list_with_stats("a a\nb c\n")
     assert (g.n, g.m) == (3, 1)
     assert stats.self_loops_dropped == 1
-    assert g.degree(g.id_of("a")) == 0
+    assert not g.neighbors(g.id_of("a"))
     with pytest.raises(ValueError, match="self loop on node 'a'"):  # only the loader drops them
         Graph([("a", "a")])
 
@@ -84,7 +84,7 @@ def test_csr_lists_the_rows_once_read_only(kar):
     assert not any(a.flags.writeable for a in view)
     for v in range(kar.n):
         assert tuple(indices[indptr[v]:indptr[v + 1]].tolist()) == kar.neighbors(v)
-        assert degree[v] == kar.degree(v)
+        assert degree[v] == len(kar.neighbors(v))
         assert (tails[indptr[v]:indptr[v + 1]] == v).all()
     assert tails.size == indices.size == 2 * kar.m
 
@@ -98,7 +98,7 @@ def test_apply_delta_removal_view(kar):
     assert kar.has_edge(u, v)
     view = apply_delta(kar, EdgeDelta(u, frozenset((v,))))
     assert view.m == 77
-    assert view.degree(u) == kar.degree(u) - 1
+    assert len(view.neighbors(u)) == len(kar.neighbors(u)) - 1
     assert not view.has_edge(u, v)
     assert kar.m == 78  # base untouched
 
@@ -190,7 +190,7 @@ def test_overlay_reads_like_a_rebuilt_graph(kar, name):
         bases = [kar]
     else:
         bases = [random_graph(int(rng.integers(4, 16)), 0.2, seed) for seed in range(8)]
-        assert any(g.degree(v) == 0 for g in bases for v in range(g.n))
+        assert any(not g.neighbors(v) for g in bases for v in range(g.n))
     repeats = 0
     for base in bases:
         base.csr()  # overlays must not reuse the base's compressed rows
@@ -213,7 +213,7 @@ def test_overlay_reads_like_a_rebuilt_graph(kar, name):
                 assert np.array_equal(got, want)
             for v in range(base.n):
                 assert view.neighbors(v) == rebuilt.neighbors(v)
-                assert view.degree(v) == rebuilt.degree(v)
+                assert len(view.neighbors(v)) == len(rebuilt.neighbors(v))
                 assert np.array_equal(view.row(v), rebuilt.row(v))
                 for w in range(base.n):
                     assert view.has_edge(v, w) == rebuilt.has_edge(v, w)
